@@ -14,6 +14,7 @@ tokens/sec, and wall-clock into a :class:`~repro.telemetry.MetricsRegistry`
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, fields
@@ -98,6 +99,7 @@ class Trainer:
         self.registry = registry
         self._rng = np.random.default_rng(config.seed)
         self.optimizer = Adam(model.parameters(), lr=config.lr)
+        self.steps_taken = 0       # optimizer steps, over every fit
 
     def _registry(self, override: Optional[MetricsRegistry] = None
                   ) -> MetricsRegistry:
@@ -153,16 +155,17 @@ class Trainer:
                                          + batch.tgt_mask.sum())
                             epoch_losses.append(loss)
                             epoch_tokens += tokens
+                            # Counted before the hook, which may stop fit.
+                            result.steps += 1
+                            result.tokens += tokens
                             reg.counter("train.steps").inc()
                             reg.counter("train.tokens").inc(tokens)
-                            hooks.on_batch_end(self, result.steps, loss,
+                            hooks.on_batch_end(self, result.steps - 1, loss,
                                                tokens)
-                            result.steps += 1
                     epoch_time = time.perf_counter() - epoch_start
                     train_loss = float(np.mean(epoch_losses))
                     result.train_losses.append(train_loss)
                     result.epochs_run = epoch + 1
-                    result.tokens += epoch_tokens
 
                     val_loss: Optional[float] = None
                     if validation is not None and len(validation):
@@ -206,17 +209,27 @@ class Trainer:
     # Steps
     # ------------------------------------------------------------------
     def train_step(self, batch: Batch) -> float:
-        """One optimizer step on one mini-batch; returns the loss value."""
+        """One optimizer step on one mini-batch; returns the loss value.
+
+        Raises :class:`FloatingPointError` on a non-finite loss, before
+        any gradient reaches the weights.
+        """
         self.model.train()
         _, state = self.model.encode(batch.src, batch.src_mask)
         hidden = self.model.decode(batch.tgt_in, state, batch.tgt_mask)
         loss = sequence_loss(self.model, hidden, batch.tgt_out, batch.tgt_mask,
                              self.vocab, self.loss_spec, self._rng)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise FloatingPointError(
+                f"non-finite training loss {value} at step {self.steps_taken} "
+                f"(src {batch.src.shape}, tgt {batch.tgt_out.shape})")
         self.optimizer.zero_grad()
         loss.backward()
         clip_grad_norm(self.model.parameters(), self.config.clip_norm)
         self.optimizer.step()
-        return loss.item()
+        self.steps_taken += 1
+        return value
 
     def evaluate(self, dataset: BatchSource,
                  max_batches: Optional[int] = None) -> float:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import CellEmbeddingConfig, CellEmbeddingTrainer
+from repro.core.cell_embedding import _sigmoid
+from repro.nn import get_default_dtype, set_default_dtype
 from repro.spatial import NUM_SPECIALS
 
 
@@ -73,3 +75,87 @@ def test_deterministic_given_seed(vocab):
     a = CellEmbeddingTrainer(vocab, CellEmbeddingConfig(dim=8, epochs=1, seed=9))
     b = CellEmbeddingTrainer(vocab, CellEmbeddingConfig(dim=8, epochs=1, seed=9))
     np.testing.assert_array_equal(a.train(), b.train())
+
+
+# ----------------------------------------------------------------------
+# Parity with the per-pair scatter step
+# ----------------------------------------------------------------------
+def oracle_step(trainer, centers, positives, negatives):
+    """Reference SGD step: per-pair gradients and ``np.add.at`` scatters.
+
+    Every gradient is taken at the pre-step tables; duplicate rows
+    accumulate.
+    """
+    lr = trainer.config.lr
+    vc = trainer.center[centers]                      # (B, d)
+    vp = trainer.context[positives]                   # (B, d)
+    vn = trainer.context[negatives]                   # (B, neg, d)
+
+    pos_score = _sigmoid((vc * vp).sum(axis=1))       # (B,)
+    pos_coef = (1.0 - pos_score)[:, None]
+    grad_c = pos_coef * vp
+    grad_p = pos_coef * vc
+
+    neg_score = _sigmoid((vn * vc[:, None, :]).sum(axis=2))   # (B, neg)
+    grad_c -= (neg_score[:, :, None] * vn).sum(axis=1)
+    grad_n = -neg_score[:, :, None] * vc[:, None, :]
+
+    np.add.at(trainer.center, centers, lr * grad_c)
+    np.add.at(trainer.context, positives, lr * grad_p)
+    np.add.at(trainer.context, negatives.reshape(-1),
+              lr * grad_n.reshape(-1, trainer.config.dim))
+
+
+PARITY_CONFIG = CellEmbeddingConfig(dim=12, context_size=6, k_nearest=8,
+                                    negatives=5, epochs=2, lr=0.5, seed=4)
+
+
+def _oracle_run(vocab, batches=None):
+    """Train with ``oracle_step`` on float64 tables; optionally record batches."""
+    previous = get_default_dtype()
+    set_default_dtype(np.float64)
+    try:
+        trainer = CellEmbeddingTrainer(vocab, PARITY_CONFIG)
+    finally:
+        set_default_dtype(previous)
+
+    def step(centers, positives, negatives):
+        if batches is not None:
+            batches.append((centers, positives, negatives))
+        oracle_step(trainer, centers, positives, negatives)
+
+    trainer._step = step
+    trainer.train(batch_size=256)
+    return trainer
+
+
+def _relative_gap(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def test_parity_batches_exercise_duplicates(vocab):
+    """The parity vocabulary is small enough to hit every accumulation case."""
+    batches = []
+    _oracle_run(vocab, batches)
+    repeated_centers = sum(len(np.unique(c)) < len(c) for c, _, _ in batches)
+    collisions = sum(int((n == p[:, None]).any(axis=1).sum())
+                     for _, p, n in batches)
+    assert repeated_centers == len(batches)
+    assert collisions > 0
+
+
+def test_step_matches_scatter_oracle_float64(vocab, float64_tensors):
+    oracle = _oracle_run(vocab)
+    trainer = CellEmbeddingTrainer(vocab, PARITY_CONFIG)
+    assert trainer.train(batch_size=256).dtype == np.float64
+    assert _relative_gap(trainer.center, oracle.center) <= 1e-12
+    assert _relative_gap(trainer.context, oracle.context) <= 1e-12
+
+
+def test_step_matches_scatter_oracle_float32(vocab):
+    assert get_default_dtype() == np.float32
+    oracle = _oracle_run(vocab)
+    trainer = CellEmbeddingTrainer(vocab, PARITY_CONFIG)
+    assert trainer.train(batch_size=256).dtype == np.float32
+    assert _relative_gap(trainer.center, oracle.center) <= 1e-5
+    assert _relative_gap(trainer.context, oracle.context) <= 1e-5

@@ -35,6 +35,31 @@ def test_missing_npz_suffix_resolved(tmp_path):
     np.testing.assert_array_equal(state["w"], np.ones(2))
 
 
+def test_suffix_appended_like_savez(tmp_path):
+    save_checkpoint(tmp_path / "model.pt", {"w": np.ones(2)})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.pt.npz"]
+    state, _ = load_checkpoint(tmp_path / "model.pt")
+    np.testing.assert_array_equal(state["w"], np.ones(2))
+
+
+def test_failed_save_keeps_prior_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, {"w": np.arange(3.0)}, {"step": 1})
+
+    def failing_savez(file, **arrays):
+        file.write(b"partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"w": np.zeros(3)}, {"step": 2})
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+    state, meta = load_checkpoint(path)
+    np.testing.assert_array_equal(state["w"], np.arange(3.0))
+    assert meta == {"step": 1}
+
+
 def test_reserved_key_rejected(tmp_path):
     with pytest.raises(ValueError):
         save_checkpoint(tmp_path / "x.npz", {"__meta_json__": np.ones(1)})

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import (EncoderDecoder, LossSpec, ModelConfig, Trainer,
                         TrainingConfig)
+from repro.core import trainer as trainer_module
 from repro.data import PairDataset, build_training_pairs
+from repro.telemetry import Callback, StopTraining
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +107,67 @@ def test_gradient_clipping_applied(vocab, datasets):
         return np.abs(model.proj_weight.data - before).sum()
 
     assert weight_change(1e-6) < weight_change(5.0)
+
+
+class StopAfter(Callback):
+    """Records every ``on_batch_end`` and stops ``fit`` after ``steps``."""
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.seen = []
+
+    def on_batch_end(self, trainer, step, loss, tokens):
+        self.seen.append((step, tokens))
+        if len(self.seen) >= self.steps:
+            raise StopTraining
+
+
+def test_result_counts_steps_stopped_by_a_callback(vocab, datasets):
+    """A callback's StopTraining must not drop the step it saw, nor the
+    tokens of the unfinished epoch."""
+    train, _ = datasets
+    steps_per_epoch = len(list(train.batches(16)))
+    budget = StopAfter(steps_per_epoch + 3)     # stops mid-epoch 2
+    trainer = Trainer(make_model(vocab), vocab, LossSpec(kind="L1"),
+                      TrainingConfig(batch_size=16, max_epochs=5))
+    result = trainer.fit(train, callbacks=[budget])
+    assert result.stopped_early
+    assert [step for step, _ in budget.seen] == list(range(len(budget.seen)))
+    assert result.steps == len(budget.seen) == budget.steps
+    assert result.tokens == sum(tokens for _, tokens in budget.seen)
+    assert trainer.steps_taken == result.steps
+
+
+def test_non_finite_loss_fails_before_the_update(vocab, datasets, monkeypatch):
+    train, _ = datasets
+    batch = next(train.batches(8, np.random.default_rng(0)))
+    trainer = Trainer(make_model(vocab), vocab, LossSpec(kind="L1"),
+                      TrainingConfig(batch_size=8))
+    trainer.train_step(batch)
+    before = {k: v.copy() for k, v in trainer.model.state_dict().items()}
+    real_loss = trainer_module.sequence_loss
+
+    def poisoned_loss(*args, **kwargs):
+        return real_loss(*args, **kwargs) * float("nan")
+
+    monkeypatch.setattr(trainer_module, "sequence_loss", poisoned_loss)
+    with pytest.raises(FloatingPointError) as info:
+        trainer.train_step(batch)
+    message = str(info.value)
+    assert "step 1" in message
+    assert str(batch.src.shape) in message
+    assert str(batch.tgt_out.shape) in message
+    for key, value in trainer.model.state_dict().items():
+        np.testing.assert_array_equal(value, before[key])
+    assert trainer.steps_taken == 1
+
+
+def test_non_finite_loss_stops_fit(vocab, datasets, monkeypatch):
+    train, _ = datasets
+    real_loss = trainer_module.sequence_loss
+    monkeypatch.setattr(trainer_module, "sequence_loss",
+                        lambda *a, **k: real_loss(*a, **k) * float("inf"))
+    trainer = Trainer(make_model(vocab), vocab, LossSpec(kind="L1"),
+                      TrainingConfig(batch_size=16, max_epochs=2))
+    with pytest.raises(FloatingPointError, match="at step 0"):
+        trainer.fit(train)
