@@ -16,7 +16,8 @@ import numpy as np
 
 from ..data.dataset import pad_batch, tokenize
 from ..data.trajectory import Trajectory
-from ..nn import GRU, Adam, Embedding, Linear, clip_grad_norm, nll_loss
+from ..nn import (GRU, Adam, Embedding, Linear, Tensor, clip_grad_norm,
+                  nll_loss)
 from ..nn.module import Module
 from ..spatial.vocab import CellVocabulary
 from .base import TrajectoryDistance
@@ -33,9 +34,12 @@ class _NextCellModel(Module):
         self.proj = Linear(hidden_size, vocab_size, rng=rng)
 
     def forward(self, tokens: np.ndarray, mask: np.ndarray):
-        steps = [self.embedding(tokens[t]) for t in range(tokens.shape[0])]
-        outputs, state = self.rnn(steps, mask=mask)
-        return outputs, state
+        """Run the GRU over a time-major ``(T, B)`` token batch.
+
+        Returns ``(out_seq, state)``: the ``(T, B, hidden)`` top-layer
+        states and the final state per layer.
+        """
+        return self.rnn(self.embedding(tokens), mask=mask)
 
 
 class VanillaRNNEmbedding(TrajectoryDistance):
@@ -79,23 +83,28 @@ class VanillaRNNEmbedding(TrajectoryDistance):
 
     def _step(self, batch: np.ndarray, mask: np.ndarray,
               optimizer: Adam, clip_norm: float) -> float:
-        inputs, targets = batch[:-1], batch[1:]
-        target_mask = mask[1:]
-        outputs, _ = self.model(inputs, mask[:-1])
-        total, count = None, 0
-        for t, hidden in enumerate(outputs):
-            if target_mask[t].sum() == 0:
-                continue
-            logits = self.model.proj(hidden)
-            step_loss = nll_loss(logits, targets[t], target_mask[t])
-            total = step_loss if total is None else total + step_loss
-            count += 1
-        loss = total / count
+        loss = self._loss(batch, mask)
         optimizer.zero_grad()
         loss.backward()
         clip_grad_norm(self.model.parameters(), clip_norm)
         optimizer.step()
         return loss.item()
+
+    def _loss(self, batch: np.ndarray, mask: np.ndarray) -> Tensor:
+        """Next-cell NLL of a padded ``(T, B)`` batch."""
+        inputs, targets = batch[:-1], batch[1:]
+        target_mask = mask[1:]
+        out_seq, _ = self.model(inputs, mask[:-1])
+        t_steps, size = inputs.shape
+        logits = self.model.proj(out_seq.reshape(t_steps * size, -1))
+        # The loss is the mean over steps (those with any target) of each
+        # step's masked-mean NLL: weighting a step's targets by 1/count
+        # makes it nll_loss's masked mean, whose total weight is the
+        # number of such steps.
+        per_step = target_mask.sum(axis=1, keepdims=True)
+        weights = np.divide(target_mask, per_step, where=per_step > 0,
+                            out=np.zeros(target_mask.shape))
+        return nll_loss(logits, targets.reshape(-1), weights.reshape(-1))
 
     # ------------------------------------------------------------------
     # Encoding

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import GRU, Embedding, Module, Parameter, Tensor, init, stack
+from ..nn import GRU, Embedding, Module, Parameter, Tensor, init
 from ..nn.functional import log_softmax
 from ..nn.lstm import LSTM
 from ..spatial.vocab import BOS, EOS
@@ -44,19 +44,16 @@ class ModelConfig:
 class EncoderDecoder(Module):
     """Recurrent encoder-decoder with a shared cell embedding table.
 
-    Whole-sequence encoding/decoding runs through the sequence-fused RNN
-    kernels (one embedding gather and one tape node per layer per batch;
-    see :func:`~repro.nn.rnn.gru_layer_forward`).  Setting ``fused=False``
-    falls back to the step-wise reference cells — used by the parity tests
-    and the throughput benchmark; single-step generation (greedy/beam)
-    always uses the step-wise cells.
+    Encoding, teacher-forced decoding and greedy/beam generation all run
+    through the stacks' ``forward``: one ``(T, B)`` embedding gather and
+    one tape node per layer (see :func:`~repro.nn.rnn.gru_layer_forward`).
+    A generation step is a call with ``T = 1``.
     """
 
     def __init__(self, config: ModelConfig):
         super().__init__()
         rng = np.random.default_rng(config.seed)
         self.config = config
-        self.fused = True
         self.embedding = Embedding(config.vocab_size, config.embedding_size, rng=rng)
         rnn_cls = GRU if config.rnn_type == "gru" else LSTM
         self.encoder = rnn_cls(config.embedding_size, config.hidden_size,
@@ -81,13 +78,7 @@ class EncoderDecoder(Module):
         representation (top-layer final hidden state) and ``state`` is the
         per-layer final state used to initialize the decoder.
         """
-        if self.fused:
-            # One (T, B) embedding gather + one fused kernel per layer.
-            _, state = self.encoder.forward_sequence(self.embedding(src),
-                                                     mask=src_mask)
-        else:
-            steps = [self.embedding(src[t]) for t in range(src.shape[0])]
-            _, state = self.encoder(steps, mask=src_mask)
+        _, state = self.encoder(self.embedding(src), mask=src_mask)
         return self._top_hidden(state), state
 
     def _top_hidden(self, state) -> Tensor:
@@ -117,16 +108,11 @@ class EncoderDecoder(Module):
         a single loss evaluation over every step.
         """
         t_steps, batch = tgt_in.shape
-        if self.fused:
-            out_seq, _ = self.decoder.forward_sequence(self.embedding(tgt_in),
-                                                       h0=state, mask=tgt_mask)
-            # The fused output is already time-major (T, B, H); flattening
-            # is a reshape view, no intermediate stack node.
-            return out_seq.reshape(t_steps * batch, self.config.hidden_size)
-        steps = [self.embedding(tgt_in[t]) for t in range(t_steps)]
-        outputs, _ = self.decoder(steps, h0=state, mask=tgt_mask)
-        return stack(outputs, axis=0).reshape(t_steps * batch,
-                                              self.config.hidden_size)
+        out_seq, _ = self.decoder(self.embedding(tgt_in), h0=state,
+                                  mask=tgt_mask)
+        # The output is already time-major (T, B, H); flattening is a
+        # reshape view, no intermediate stack node.
+        return out_seq.reshape(t_steps * batch, self.config.hidden_size)
 
     def logits(self, hidden: Tensor) -> Tensor:
         """Full-vocabulary scores ``hidden @ W^T + b`` (for L1/L2)."""
@@ -181,8 +167,8 @@ class EncoderDecoder(Module):
             expansions = []
             for score, tokens, beam_state in beams:
                 previous = tokens[-1] if tokens else BOS
-                step = self.embedding(np.array([previous]))
-                _, new_state = self.decoder([step], h0=beam_state)
+                step = self.embedding(np.array([[previous]]))
+                _, new_state = self.decoder(step, h0=beam_state)
                 log_probs = log_softmax(
                     self.logits(self._top_hidden(new_state)), axis=1).numpy()[0]
                 log_probs[BOS] = -np.inf
@@ -228,8 +214,8 @@ class EncoderDecoder(Module):
             emitted: List[np.ndarray] = []   # (batch,) tokens per step
             kept: List[np.ndarray] = []      # (batch,) bools: token counts
             for _ in range(max_len):
-                step = self.embedding(tokens)
-                _, state = self.decoder([step], h0=state)
+                _, state = self.decoder(self.embedding(tokens[None]),
+                                        h0=state)
                 scores = self.logits(self._top_hidden(state)).numpy()
                 scores[:, BOS] = -np.inf  # never re-emit the start token
                 tokens = scores.argmax(axis=1)

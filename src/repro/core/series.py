@@ -153,7 +153,7 @@ class Series2Vec:
         train_ds = self._make_dataset(train_series)
         val_ds = self._make_dataset(val_series) if val_series else None
         trainer = Trainer(self.model, self.vocab, loss, cfg.training)
-        self.last_result = trainer.fit(train_ds, val_ds)
+        self.last_result = trainer.fit(train_ds, validation=val_ds)
         return self.last_result
 
     def _make_dataset(self, series: Sequence[np.ndarray]) -> TokenPairDataset:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -75,9 +74,6 @@ class TrainingResult:
     stopped_early: bool = False
 
 
-_POSITIONAL_FIT_WARNED = False
-
-
 class Trainer:
     """Fits an :class:`EncoderDecoder` on any :class:`BatchSource`.
 
@@ -108,30 +104,15 @@ class Trainer:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def fit(self, train: BatchSource, *legacy_args,
+    def fit(self, train: BatchSource, *,
             validation: Optional[BatchSource] = None,
             callbacks: Sequence[Callback] = (),
             registry: Optional[MetricsRegistry] = None) -> TrainingResult:
         """Train until ``max_epochs``, early stopping, or a callback's
         :class:`~repro.telemetry.StopTraining`; restores best weights.
 
-        ``validation`` and later arguments are keyword-only; a single
-        extra positional argument is still accepted as ``validation``
-        for backward compatibility (deprecated).
+        ``validation`` and later arguments are keyword-only.
         """
-        if legacy_args:
-            global _POSITIONAL_FIT_WARNED
-            if len(legacy_args) > 1 or validation is not None:
-                raise TypeError("fit() accepts at most one positional "
-                                "validation dataset")
-            if not _POSITIONAL_FIT_WARNED:
-                warnings.warn(
-                    "passing validation positionally to Trainer.fit is "
-                    "deprecated; use fit(train, validation=...)",
-                    DeprecationWarning, stacklevel=2)
-                _POSITIONAL_FIT_WARNED = True
-            validation = legacy_args[0]
-
         reg = self._registry(registry)
         hooks = CallbackList(list(callbacks))
         result = TrainingResult()

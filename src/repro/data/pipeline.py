@@ -26,7 +26,7 @@ it instead:
 * **Length-bucketed batching.**  Token pairs accumulate into a window
   of ``bucket_batches`` batches, are stable-sorted by source length,
   chunked, and the chunk order is shuffled — long sequences pad against
-  long ones, so the fused RNN kernels burn far fewer FLOPs on PAD
+  long ones, so the RNN layer kernels burn far fewer FLOPs on PAD
   positions than shuffle-only batching, without a global length
   curriculum.
 * **Double-buffered prefetch.**  A background thread (:class:`Prefetcher`)

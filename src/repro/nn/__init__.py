@@ -5,8 +5,9 @@ implementation (see DESIGN.md §2).  Public surface:
 
 * :class:`Tensor` plus :func:`concat` / :func:`stack` — autograd arrays.
 * :class:`Module` / :class:`Parameter` — model building blocks.
-* :class:`Linear`, :class:`Embedding`, :class:`Dropout`, :class:`GRUCell`,
-  :class:`GRU` — layers.
+* :class:`Linear`, :class:`Embedding`, :class:`Dropout`, :class:`GRU`,
+  :class:`LSTM` — layers (``GRUCell``/``LSTMCell`` hold one recurrent
+  layer's parameters).
 * :func:`nll_loss` (L1), :func:`weighted_nll_loss` (L2),
   :func:`sampled_weighted_loss` (L3) — the paper's decoder losses.
 * :class:`SGD`, :class:`Adam`, :func:`clip_grad_norm` — optimization.
@@ -23,7 +24,7 @@ from .lstm import LSTM, LSTMCell, lstm_layer_forward
 from .rnn import GRU, GRUCell, gru_layer_forward
 from .serialization import load_checkpoint, save_checkpoint
 from .tensor import (Tensor, concat, get_default_dtype, ones,
-                     set_default_dtype, stack, where_const, zeros)
+                     set_default_dtype, stack, zeros)
 
 __all__ = [
     "Adam",
@@ -55,6 +56,5 @@ __all__ = [
     "save_checkpoint",
     "stack",
     "weighted_nll_loss",
-    "where_const",
     "zeros",
 ]

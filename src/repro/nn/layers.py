@@ -39,9 +39,9 @@ class Embedding(Module):
 
     Lookup is a gather (:meth:`Tensor.take_rows`), so gradients for
     repeated tokens in a batch are accumulated correctly.  ``tokens`` may
-    have any shape; passing a whole time-major ``(T, B)`` batch performs
-    the fused gather (one tape node with one scatter-add backward instead
-    of T separate nodes) that the sequence-fused RNN path builds on.
+    have any shape; a whole time-major ``(T, B)`` batch is one gather (one
+    tape node with one scatter-add backward instead of T separate nodes),
+    which feeds the RNN layer kernels.
     """
 
     def __init__(self, num_embeddings: int, dim: int,

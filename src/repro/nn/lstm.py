@@ -1,4 +1,4 @@
-"""LSTM cell and stack (fused, hand-derived backward).
+"""Multi-layer LSTM over whole sequences (hand-derived BPTT backward).
 
 The paper chooses GRU over LSTM because it is "as good as LSTM in
 sequence modeling tasks, while much more efficient to compute"
@@ -15,91 +15,32 @@ Gate formulation (PyTorch order i, f, g, o):
     c' = f * c + i * g
     h' = o * tanh(c')
 
-Like the GRU (see :mod:`repro.nn.rnn`), each step is a single fused
-autograd node for CPU speed; the numeric gradient check in the test
-suite pins the derivation.
+Like the GRU (see :mod:`repro.nn.rnn`), each layer's whole sequence is
+one tape node (:func:`lstm_layer_forward`) with an analytic BPTT
+backward; numeric gradient checks and a step-wise oracle in the test
+suite pin the derivation.  :meth:`LSTM.forward` is the one execution
+path, used with ``T = 1`` for a decoding step, and :class:`LSTMCell`
+holds one layer's parameters.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import init
 from .layers import Dropout
 from .module import Module, Parameter
-from .rnn import _sequence_mask, _sigmoid, _sigmoid_
-from .tensor import Tensor, where_const
-
-
-def lstm_cell_forward(x: Tensor, h: Tensor, c: Tensor,
-                      w_ih: Tensor, w_hh: Tensor,
-                      b_ih: Tensor, b_hh: Tensor) -> Tuple[Tensor, Tensor]:
-    """Fused LSTM step returning ``(h', c')`` with an analytic backward."""
-    hidden = h.data.shape[1]
-    gates = x.data @ w_ih.data + b_ih.data + h.data @ w_hh.data + b_hh.data
-    i_gate = _sigmoid(gates[:, :hidden])
-    f_gate = _sigmoid(gates[:, hidden:2 * hidden])
-    g_gate = np.tanh(gates[:, 2 * hidden:3 * hidden])
-    o_gate = _sigmoid(gates[:, 3 * hidden:])
-    new_c = f_gate * c.data + i_gate * g_gate
-    tanh_c = np.tanh(new_c)
-    new_h = o_gate * tanh_c
-
-    parents = (x, h, c, w_ih, w_hh, b_ih, b_hh)
-    out_h = Tensor._make(new_h, parents, "lstm_cell_h")
-    out_c = Tensor._make(new_c, parents, "lstm_cell_c")
-
-    if out_h.requires_grad or out_c.requires_grad:
-        # The two outputs share one backward: gradients are staged on the
-        # output tensors and flushed when either backward fires.  Because
-        # autograd calls each node's backward exactly once (topological
-        # order) and both outputs share parents, we register separate
-        # closures that each push their own contribution.
-
-        def push(grad_h, grad_c_in):
-            grad_c_total = grad_c_in + grad_h * o_gate * (1.0 - tanh_c ** 2)
-            d_o = grad_h * tanh_c
-            d_f = grad_c_total * c.data
-            d_i = grad_c_total * g_gate
-            d_g = grad_c_total * i_gate
-            di_pre = d_i * i_gate * (1.0 - i_gate)
-            df_pre = d_f * f_gate * (1.0 - f_gate)
-            dg_pre = d_g * (1.0 - g_gate ** 2)
-            do_pre = d_o * o_gate * (1.0 - o_gate)
-            d_gates = np.concatenate([di_pre, df_pre, dg_pre, do_pre], axis=1)
-            if x.requires_grad:
-                x._accumulate(d_gates @ w_ih.data.T)
-            if h.requires_grad:
-                h._accumulate(d_gates @ w_hh.data.T)
-            if c.requires_grad:
-                c._accumulate(grad_c_total * f_gate)
-            if w_ih.requires_grad:
-                w_ih._accumulate(x.data.T @ d_gates)
-            if w_hh.requires_grad:
-                w_hh._accumulate(h.data.T @ d_gates)
-            if b_ih.requires_grad:
-                b_ih._accumulate(d_gates.sum(axis=0))
-            if b_hh.requires_grad:
-                b_hh._accumulate(d_gates.sum(axis=0))
-
-        def backward_h(grad):
-            push(grad, np.zeros_like(grad))
-
-        def backward_c(grad):
-            push(np.zeros_like(grad), grad)
-
-        out_h._backward = backward_h
-        out_c._backward = backward_c
-    return out_h, out_c
+from .rnn import _sequence_mask, _sigmoid_
+from .tensor import Tensor
 
 
 def lstm_layer_forward(x_seq: Tensor, h0: Optional[Tensor], c0: Optional[Tensor],
                        w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tensor,
                        mask: Optional[np.ndarray] = None
                        ) -> Tuple[Tensor, Tensor, Tensor]:
-    """Sequence-fused LSTM layer; the LSTM sibling of
+    """Whole-sequence LSTM layer; the LSTM sibling of
     :func:`~repro.nn.rnn.gru_layer_forward`.
 
     One ``(T*B, in) @ (in, 4H)`` GEMM hoists the input projection, the
@@ -281,7 +222,11 @@ def lstm_layer_forward(x_seq: Tensor, h0: Optional[Tensor], c0: Optional[Tensor]
 
 
 class LSTMCell(Module):
-    """Single LSTM step with fused gate weights."""
+    """One LSTM layer's parameters, gate weights concatenated per input.
+
+    :class:`LSTM` runs them through :func:`lstm_layer_forward`; the cell
+    itself has no forward.
+    """
 
     def __init__(self, input_size: int, hidden_size: int,
                  rng: Optional[np.random.Generator] = None):
@@ -300,15 +245,12 @@ class LSTMCell(Module):
         self.b_ih = Parameter(b)
         self.b_hh = Parameter(init.zeros((4 * hidden_size,)))
 
-    def forward(self, x: Tensor, h: Tensor, c: Tensor) -> Tuple[Tensor, Tensor]:
-        return lstm_cell_forward(x, h, c, self.w_ih, self.w_hh,
-                                 self.b_ih, self.b_hh)
-
 
 class LSTM(Module):
-    """Multi-layer LSTM over per-step inputs; API mirrors :class:`GRU`.
+    """Multi-layer LSTM over ``(T, batch, input)`` sequences; API mirrors
+    :class:`GRU`.
 
-    ``forward`` returns ``(outputs, state)`` where ``state`` is a list of
+    ``forward`` returns ``(out_seq, state)`` where ``state`` is a list of
     per-layer ``(h, c)`` tuples.  For interchangeability with the GRU in
     the encoder-decoder, :meth:`hidden_of` extracts only the ``h`` parts.
     """
@@ -336,52 +278,18 @@ class LSTM(Module):
 
     def forward(
         self,
-        steps: Sequence[Tensor],
-        h0: Optional[List[Tuple[Tensor, Tensor]]] = None,
-        mask: Optional[np.ndarray] = None,
-    ) -> Tuple[List[Tensor], List[Tuple[Tensor, Tensor]]]:
-        if not steps:
-            raise ValueError("LSTM.forward requires at least one step")
-        batch = steps[0].shape[0]
-        state = list(h0) if h0 is not None else self.initial_state(batch)
-        if len(state) != self.num_layers:
-            raise ValueError(
-                f"h0 has {len(state)} layers, expected {self.num_layers}")
-        outputs: List[Tensor] = []
-        for t, x in enumerate(steps):
-            step_mask = None
-            if mask is not None:
-                row = np.asarray(mask[t], dtype=bool)
-                if not row.all():
-                    step_mask = row.reshape(batch, 1)
-            layer_input = x
-            for layer, cell in enumerate(self.cells):
-                if layer > 0:
-                    layer_input = self.dropout(layer_input)
-                h_prev, c_prev = state[layer]
-                new_h, new_c = cell(layer_input, h_prev, c_prev)
-                if step_mask is not None:
-                    new_h = where_const(step_mask, new_h, h_prev)
-                    new_c = where_const(step_mask, new_c, c_prev)
-                state[layer] = (new_h, new_c)
-                layer_input = new_h
-            outputs.append(state[-1][0])
-        return outputs, state
-
-    def forward_sequence(
-        self,
         x_seq: Tensor,
         h0: Optional[List[Tuple[Tensor, Tensor]]] = None,
         mask: Optional[np.ndarray] = None,
     ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        """Sequence-fused forward; API mirrors :meth:`GRU.forward_sequence`.
+        """Run the stack over a whole ``(T, batch, input)`` sequence.
 
         Returns ``(out_seq, state)`` where ``out_seq`` is the top layer's
         ``(T, batch, hidden)`` output and ``state`` holds per-layer
         ``(h, c)`` finals.
         """
         if x_seq.ndim != 3 or x_seq.shape[0] < 1:
-            raise ValueError("forward_sequence requires a (T, batch, input) "
+            raise ValueError("LSTM.forward requires a (T, batch, input) "
                              f"tensor with T >= 1, got shape {x_seq.shape}")
         batch = x_seq.shape[1]
         state = list(h0) if h0 is not None else self.initial_state(batch)

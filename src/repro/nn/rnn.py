@@ -1,4 +1,4 @@
-"""Gated recurrent units: ``GRUCell`` and a multi-layer ``GRU``.
+"""Gated recurrent units: a multi-layer ``GRU`` over whole sequences.
 
 The paper uses a 3-layer GRU for both the encoder and the decoder
 (Section V-B).  The implementation follows the standard (cuDNN/PyTorch)
@@ -13,22 +13,18 @@ Variable-length mini-batches are handled with a step mask: on padded
 steps a sequence's hidden state is carried through unchanged, so the
 final state is the state at each sequence's true last token.
 
-Two execution paths are provided:
-
-* :meth:`GRU.forward` — the step-wise reference path (one fused tape
-  node per step per layer).  It remains the implementation of record
-  for single-step decoding (greedy/beam search) and for parity tests.
-* :meth:`GRU.forward_sequence` / :func:`gru_layer_forward` — the
-  sequence-fused path used by training and encoding: the input-to-hidden
-  projection of all timesteps is hoisted into one ``(T*B, in) @ (in, 3H)``
-  GEMM, the recurrence is a tight numpy loop, and the whole layer records
-  a *single* tape node whose backward runs BPTT analytically.  This
-  collapses ~T*L autograd nodes per batch to L.
+:func:`gru_layer_forward` runs one layer over a whole ``(T, B, in)``
+sequence as a single tape node: the input-to-hidden projection of all
+timesteps is one ``(T*B, in) @ (in, 3H)`` GEMM, the recurrence is a
+tight numpy loop, and the backward runs BPTT analytically.
+:meth:`GRU.forward` stacks it and is the one execution path for
+training, encoding and generation; a one-token decoding step is a call
+with ``T = 1``.  :class:`GRUCell` holds one layer's parameters.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.special import expit
@@ -36,83 +32,32 @@ from scipy.special import expit
 from . import init
 from .layers import Dropout
 from .module import Module, Parameter
-from .tensor import Tensor, where_const
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Clipping keeps exp() finite when training diverges (huge gate inputs
-    # saturate to exactly 0/1 anyway).
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+from .tensor import Tensor
 
 
 def _sigmoid_(x: np.ndarray) -> np.ndarray:
-    """In-place sigmoid for the fused kernels.
+    """In-place sigmoid for the layer kernels.
 
-    ``scipy.special.expit`` (already a hard dependency via the spatial
-    module) is a single C ufunc with safe saturation, versus the six numpy
-    calls an explicit ``1/(1+exp(-x))`` chain costs per invocation — that
-    Python dispatch overhead is measurable at T calls per layer pass.
+    ``scipy.special.expit`` stays so that results are bit-identical with
+    every model trained so far.  It is not the fastest form once the
+    batch grows: measured in float32 on a ``(64, 512)`` slab, ``expit``
+    takes ~197 µs against ~51 µs for the clipped ``1/(1+exp(-x))``
+    chain and ~31 µs for ``0.5*tanh(0.5x)+0.5``; only at one row
+    (B=1) does its single ufunc call win.  A faster form changes float32
+    results by up to 1 ULP, which is enough to move a refit model's mean
+    ranks (see docs/performance.md).
     """
     return expit(x, out=x)
 
 
-def gru_cell_forward(x: Tensor, h: Tensor, w_ih: Tensor, w_hh: Tensor,
-                     b_ih: Tensor, b_hh: Tensor) -> Tensor:
-    """Fused GRU step with a hand-derived backward pass.
-
-    A GRU step decomposes into ~20 primitive autograd nodes; on CPU the
-    per-node Python overhead dominates training time, so the whole step is
-    implemented as a single tape node with the analytic gradient.  The
-    numeric gradient check in the test suite pins the derivation.
-    """
-    hidden = h.data.shape[1]
-    gi = x.data @ w_ih.data + b_ih.data
-    gh = h.data @ w_hh.data + b_hh.data
-    reset = _sigmoid(gi[:, :hidden] + gh[:, :hidden])
-    update = _sigmoid(gi[:, hidden:2 * hidden] + gh[:, hidden:2 * hidden])
-    gh_n = gh[:, 2 * hidden:]
-    candidate = np.tanh(gi[:, 2 * hidden:] + reset * gh_n)
-    new_h = (1.0 - update) * candidate + update * h.data
-
-    parents = (x, h, w_ih, w_hh, b_ih, b_hh)
-    out = Tensor._make(new_h, parents, "gru_cell")
-    if out.requires_grad:
-
-        def backward(grad):
-            d_update = grad * (h.data - candidate)
-            d_candidate = grad * (1.0 - update)
-            dn_pre = d_candidate * (1.0 - candidate ** 2)
-            d_reset = dn_pre * gh_n
-            dz_pre = d_update * update * (1.0 - update)
-            dr_pre = d_reset * reset * (1.0 - reset)
-            d_gi = np.concatenate([dr_pre, dz_pre, dn_pre], axis=1)
-            d_gh = np.concatenate([dr_pre, dz_pre, dn_pre * reset], axis=1)
-            if x.requires_grad:
-                x._accumulate(d_gi @ w_ih.data.T)
-            if h.requires_grad:
-                h._accumulate(grad * update + d_gh @ w_hh.data.T)
-            if w_ih.requires_grad:
-                w_ih._accumulate(x.data.T @ d_gi)
-            if w_hh.requires_grad:
-                w_hh._accumulate(h.data.T @ d_gh)
-            if b_ih.requires_grad:
-                b_ih._accumulate(d_gi.sum(axis=0))
-            if b_hh.requires_grad:
-                b_hh._accumulate(d_gh.sum(axis=0))
-
-        out._backward = backward
-    return out
-
-
 def _sequence_mask(mask, t_steps: int, batch: int, dtype
                    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Normalize a ``(T, B)`` step mask for the fused kernels.
+    """Normalize a ``(T, B)`` step mask for the layer kernels.
 
     Returns ``(mask_f, padded)`` where ``mask_f`` is a ``(T, B, 1)`` float
     array in the compute dtype and ``padded`` is a ``(T,)`` bool array
     flagging steps that contain padding (all-real steps skip the masking
-    math, mirroring the step-wise path).  Both are ``None`` when every
-    position is real.
+    math).  Both are ``None`` when every position is real.
     """
     if mask is None:
         return None, None
@@ -130,13 +75,13 @@ def gru_layer_forward(x_seq: Tensor, h0: Optional[Tensor],
                       w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tensor,
                       mask: Optional[np.ndarray] = None
                       ) -> Tuple[Tensor, Tensor]:
-    """Sequence-fused GRU layer: one tape node for a whole ``(T, B, in)`` pass.
+    """Whole-sequence GRU layer: one tape node for a whole ``(T, B, in)`` pass.
 
     The input projection for all timesteps runs as a single GEMM, the
     recurrence is a plain numpy loop saving gate activations, and the
-    backward closure backpropagates through time analytically (the numeric
-    gradient check in the test suite pins the derivation against the
-    step-wise reference cells).
+    backward closure backpropagates through time analytically (numeric
+    gradient checks and a step-wise oracle in the test suite pin the
+    derivation).
 
     Parameters
     ----------
@@ -146,7 +91,7 @@ def gru_layer_forward(x_seq: Tensor, h0: Optional[Tensor],
         ``(batch, hidden)`` initial state; zeros when ``None``.
     mask:
         Optional ``(T, batch)`` array of 0/1; where 0 the previous hidden
-        state is carried through, exactly like :meth:`GRU.forward`.
+        state is carried through.
 
     Returns
     -------
@@ -303,7 +248,11 @@ def gru_layer_forward(x_seq: Tensor, h0: Optional[Tensor],
 
 
 class GRUCell(Module):
-    """Single GRU step.  Gate weights are fused into one matmul per input."""
+    """One GRU layer's parameters, gate weights concatenated per input.
+
+    :class:`GRU` runs them through :func:`gru_layer_forward`; the cell
+    itself has no forward.
+    """
 
     def __init__(self, input_size: int, hidden_size: int,
                  rng: Optional[np.random.Generator] = None):
@@ -320,13 +269,9 @@ class GRUCell(Module):
         self.b_ih = Parameter(init.zeros((3 * hidden_size,)))
         self.b_hh = Parameter(init.zeros((3 * hidden_size,)))
 
-    def forward(self, x: Tensor, h: Tensor) -> Tensor:
-        return gru_cell_forward(x, h, self.w_ih, self.w_hh,
-                                self.b_ih, self.b_hh)
-
 
 class GRU(Module):
-    """Multi-layer GRU over a sequence of per-step inputs.
+    """Multi-layer GRU over ``(T, batch, input)`` sequences.
 
     Parameters
     ----------
@@ -359,66 +304,23 @@ class GRU(Module):
 
     def forward(
         self,
-        steps: Sequence[Tensor],
+        x_seq: Tensor,
         h0: Optional[List[Tensor]] = None,
         mask: Optional[np.ndarray] = None,
-    ) -> Tuple[List[Tensor], List[Tensor]]:
-        """Run the stack over ``steps``.
+    ) -> Tuple[Tensor, List[Tensor]]:
+        """Run the stack over a whole ``(T, batch, input)`` sequence.
+
+        Each layer is one tape node (see :func:`gru_layer_forward`).
 
         Parameters
         ----------
-        steps:
-            Sequence of ``(batch, input_size)`` tensors, one per time step.
+        x_seq:
+            ``(T, batch, input_size)`` inputs, ``T >= 1``.
         h0:
             Initial hidden state per layer; zeros when omitted.
         mask:
             Optional ``(T, batch)`` array of 0/1; where 0, the previous
             hidden state is carried through (padding).
-
-        Returns
-        -------
-        outputs:
-            List of top-layer hidden states, one ``(batch, hidden)`` per step.
-        state:
-            Final hidden state per layer.
-        """
-        if not steps:
-            raise ValueError("GRU.forward requires at least one step")
-        batch = steps[0].shape[0]
-        state = list(h0) if h0 is not None else self.initial_state(batch)
-        if len(state) != self.num_layers:
-            raise ValueError(
-                f"h0 has {len(state)} layers, expected {self.num_layers}")
-        outputs: List[Tensor] = []
-        for t, x in enumerate(steps):
-            step_mask = None
-            if mask is not None:
-                row = np.asarray(mask[t], dtype=bool)
-                if not row.all():  # all-real steps skip the masking node
-                    step_mask = row.reshape(batch, 1)
-            layer_input = x
-            for layer, cell in enumerate(self.cells):
-                if layer > 0:
-                    layer_input = self.dropout(layer_input)
-                new_h = cell(layer_input, state[layer])
-                if step_mask is not None:
-                    new_h = where_const(step_mask, new_h, state[layer])
-                state[layer] = new_h
-                layer_input = new_h
-            outputs.append(state[-1])
-        return outputs, state
-
-    def forward_sequence(
-        self,
-        x_seq: Tensor,
-        h0: Optional[List[Tensor]] = None,
-        mask: Optional[np.ndarray] = None,
-    ) -> Tuple[Tensor, List[Tensor]]:
-        """Sequence-fused forward over a whole ``(T, batch, input)`` tensor.
-
-        Equivalent to :meth:`forward` on the per-step slices of ``x_seq``
-        but records one tape node per layer (see :func:`gru_layer_forward`);
-        this is the fast path used by training and batch encoding.
 
         Returns
         -------
@@ -428,7 +330,7 @@ class GRU(Module):
             Final hidden state per layer.
         """
         if x_seq.ndim != 3 or x_seq.shape[0] < 1:
-            raise ValueError("forward_sequence requires a (T, batch, input) "
+            raise ValueError("GRU.forward requires a (T, batch, input) "
                              f"tensor with T >= 1, got shape {x_seq.shape}")
         batch = x_seq.shape[1]
         state = list(h0) if h0 is not None else self.initial_state(batch)

@@ -526,24 +526,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def where_const(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Select between two tensors with a constant boolean mask."""
-    condition = np.asarray(condition, dtype=bool)
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    out = Tensor._make(np.where(condition, a.data, b.data), (a, b), "where")
-    if out.requires_grad:
-
-        def backward(grad):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad * condition, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(grad * (~condition), b.shape))
-
-        out._backward = backward
-    return out
-
-
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
 

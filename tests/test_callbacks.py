@@ -146,24 +146,12 @@ def test_trainer_records_registry_metrics(vocab, datasets):
     assert registry.histogram("fit.epoch").count == result.epochs_run
 
 
-def test_positional_validation_shim_warns_once(vocab, datasets):
-    import warnings
-
-    from repro.core import trainer as trainer_module
-    train, val = datasets
-    trainer = make_trainer(vocab, max_epochs=1)
-    trainer_module._POSITIONAL_FIT_WARNED = False
-    with pytest.warns(DeprecationWarning, match="positionally"):
-        result = trainer.fit(train, val)
-    assert len(result.val_losses) == 1  # validation actually used
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second call must stay silent
-        make_trainer(vocab, max_epochs=1).fit(train, val)
-
-
 def test_positional_and_keyword_validation_conflict(vocab, datasets):
+    # validation is keyword-only: a positional one is rejected outright.
     train, val = datasets
     trainer = make_trainer(vocab, max_epochs=1)
     with pytest.raises(TypeError):
+        trainer.fit(train, val)
+    with pytest.raises(TypeError):
         trainer.fit(train, val, validation=val)
+    assert trainer.steps_taken == 0

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nn import (GRU, Adam, Embedding, Linear, Tensor,
+from repro.nn import (GRU, LSTM, Adam, Embedding, Linear, Tensor,
                       get_default_dtype, set_default_dtype)
+
+from .rnn_reference import stepwise_forward
 
 
 def test_library_default_is_float32():
@@ -55,11 +57,24 @@ def test_training_step_in_float32_is_finite():
     params = emb.parameters() + gru.parameters() + proj.parameters()
     opt = Adam(params, lr=1e-3)
     for _ in range(3):
-        steps = [emb(rng.integers(0, 10, size=4)) for _ in range(5)]
-        outs, _ = gru(steps)
-        loss = (proj(outs[-1]) ** 2).mean()
+        out_seq, _ = gru(emb(rng.integers(0, 10, size=(5, 4))))
+        loss = (proj(out_seq[-1]) ** 2).mean()
         opt.zero_grad()
         loss.backward()
         opt.step()
         assert np.isfinite(loss.item())
     assert all(np.isfinite(p.data).all() for p in params)
+
+
+@pytest.mark.parametrize("rnn_cls", [GRU, LSTM])
+def test_rnn_forward_stays_float32_and_tracks_the_oracle(rnn_cls):
+    rnn = rnn_cls(3, 4, num_layers=2, rng=np.random.default_rng(0))
+    x = np.random.default_rng(1).standard_normal((5, 2, 3))
+    mask = np.array([[1, 1], [1, 1], [1, 1], [1, 0], [1, 0]])
+    out_seq, _ = rnn(Tensor(x), mask=mask)
+    assert out_seq.data.dtype == np.float32
+    outputs, _ = stepwise_forward(rnn, [Tensor(x[t]) for t in range(5)],
+                                  mask=mask)
+    np.testing.assert_allclose(out_seq.numpy(),
+                               np.stack([o.numpy() for o in outputs]),
+                               atol=1e-5)

@@ -124,3 +124,24 @@ def test_beam_decode_works_with_lstm(vocab):
     mask = np.ones((2, 2))
     decoded = lstm_model.beam_decode(src, mask, beam_width=2, max_len=8)
     assert len(decoded) == 2
+
+
+#: Checkpoint keys of a 2-layer model; saved models load only if these
+#: stay put (the cells hold each layer's parameters).
+_STATE_KEYS = (
+    ["embedding.weight"]
+    + [f"{stack}.cells.{layer}.{name}"
+       for stack in ("encoder", "decoder") for layer in (0, 1)
+       for name in ("w_ih", "w_hh", "b_ih", "b_hh")]
+    + ["proj_weight", "proj_bias"])
+
+
+@pytest.mark.parametrize("rnn_type,gates", [("gru", 3), ("lstm", 4)])
+def test_state_dict_keys_pinned(rnn_type, gates):
+    model = EncoderDecoder(ModelConfig(vocab_size=10, embedding_size=3,
+                                       hidden_size=4, num_layers=2,
+                                       rnn_type=rnn_type))
+    state = model.state_dict()
+    assert list(state) == _STATE_KEYS
+    assert state["encoder.cells.0.w_ih"].shape == (3, gates * 4)
+    assert state["decoder.cells.1.w_hh"].shape == (4, gates * 4)

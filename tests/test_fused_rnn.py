@@ -3,19 +3,25 @@
 The fused kernels (:func:`gru_layer_forward`, :func:`lstm_layer_forward`)
 hand-derive backward-through-time instead of relying on the tape, so these
 tests pin them twice over: exact forward/backward parity against the
-step-wise reference cells, and central-difference numeric gradients for
-every input and parameter.
+step-wise oracle in :mod:`tests.rnn_reference`, and central-difference
+numeric gradients for every input and parameter.  The encoder-decoder
+tests swap the oracle in for whole stacks, so encoding, teacher-forced
+decoding and greedy/beam generation (``T = 1`` calls) are all pinned.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro.core.encoder_decoder import EncoderDecoder, ModelConfig
-from repro.nn import GRU, Tensor
+from repro.nn import GRU, Module, Tensor, stack
 from repro.nn.lstm import lstm_layer_forward
 from repro.nn.rnn import gru_layer_forward
 from repro.spatial.vocab import BOS, EOS
 
+from .rnn_reference import (gru_cell_forward, lstm_cell_forward,
+                            stepwise_forward)
 from .test_tensor import check_gradients
 
 T_STEPS, BATCH, IN_SIZE, HIDDEN = 5, 3, 4, 6
@@ -56,7 +62,6 @@ def test_gru_fused_matches_stepwise_forward_and_backward(mask, with_h0):
             out_seq, h_last = gru_layer_forward(xs, hs, *params, mask=mask)
             out = out_seq
         else:
-            from repro.nn.rnn import gru_cell_forward
             h = hs if hs is not None else Tensor(np.zeros((BATCH, HIDDEN)))
             steps = []
             for t in range(T_STEPS):
@@ -66,7 +71,6 @@ def test_gru_fused_matches_stepwise_forward_and_backward(mask, with_h0):
                     new_h = h + m * (new_h - h)
                 h = new_h
                 steps.append(h)
-            from repro.nn import stack
             out, h_last = stack(steps, axis=0), h
         ((out * out).sum() + (h_last * h_last).sum()).backward()
         grads = [p.grad for p in params] + [xs.grad]
@@ -100,8 +104,6 @@ def test_lstm_fused_matches_stepwise_forward_and_backward(mask):
             out, h_last, c_last = lstm_layer_forward(xs, hs, cs, *params,
                                                      mask=mask)
         else:
-            from repro.nn import stack
-            from repro.nn.lstm import lstm_cell_forward
             h, c = hs, cs
             steps = []
             for t in range(T_STEPS):
@@ -181,7 +183,7 @@ def test_lstm_c_last_only_gradient():
 
 @pytest.mark.usefixtures("float64_tensors")
 def test_fused_stack_gradients_with_dropout():
-    """Multi-layer forward_sequence (dropout active) against numeric grads.
+    """Multi-layer GRU.forward (dropout active) against numeric grads.
 
     Rebuilding the module with a fixed seed inside ``build`` makes the
     dropout masks identical across numeric-gradient evaluations.
@@ -193,7 +195,7 @@ def test_fused_stack_gradients_with_dropout():
         gru = GRU(3, 4, num_layers=2, dropout=0.3,
                   rng=np.random.default_rng(0))
         gru.dropout._rng = np.random.default_rng(99)
-        out_seq, state = gru.forward_sequence(xs)
+        out_seq, state = gru(xs)
         return (out_seq * out_seq).sum() + (state[-1] * state[-1]).sum()
 
     check_gradients(build, x, tol=1e-6)
@@ -220,8 +222,30 @@ def test_fused_embedding_gather_accumulates_repeated_tokens():
 
 
 # ---------------------------------------------------------------------------
-# EncoderDecoder: fused path vs. step-wise path, vectorized greedy decode
+# EncoderDecoder: the one RNN path vs. the step-wise oracle
 # ---------------------------------------------------------------------------
+
+class _StepwiseStack(Module):
+    """Runs a GRU/LSTM stack through the step-wise oracle, with the
+    module's ``forward(x_seq, h0, mask)`` signature."""
+
+    def __init__(self, rnn):
+        super().__init__()
+        self.rnn = rnn
+
+    def forward(self, x_seq, h0=None, mask=None):
+        steps = [x_seq[t] for t in range(x_seq.shape[0])]
+        outputs, state = stepwise_forward(self.rnn, steps, h0, mask)
+        return stack(outputs, axis=0), state
+
+
+def _stepwise_twin(model):
+    """The same model (shared parameters) with both stacks on the oracle."""
+    twin = copy.copy(model)
+    twin.encoder = _StepwiseStack(model.encoder)
+    twin.decoder = _StepwiseStack(model.decoder)
+    return twin
+
 
 def _toy_model(rnn_type, vocab=12):
     return EncoderDecoder(ModelConfig(
@@ -247,14 +271,22 @@ def test_encoder_decoder_fused_matches_stepwise(rnn_type):
     rng = np.random.default_rng(23)
     src, src_mask = _toy_batch(rng)
 
-    outputs = {}
-    for fused in (True, False):
-        model.fused = fused
-        v, state = model.encode(src, src_mask)
-        hidden = model.decode(src, state, src_mask)
-        outputs[fused] = (v.numpy().copy(), hidden.numpy().copy())
-    np.testing.assert_allclose(outputs[True][0], outputs[False][0], atol=1e-12)
-    np.testing.assert_allclose(outputs[True][1], outputs[False][1], atol=1e-12)
+    outputs = []
+    for runner in (model, _stepwise_twin(model)):
+        model.zero_grad()
+        v, state = runner.encode(src, src_mask)
+        hidden = runner.decode(src, state, src_mask)
+        ((v * v).sum() + (hidden * hidden).sum()).backward()
+        grads = {name: p.grad.copy() for name, p in model.named_parameters()
+                 if p.grad is not None}
+        outputs.append((v.numpy().copy(), hidden.numpy().copy(), grads))
+    (v, hidden, grads), (ref_v, ref_hidden, ref_grads) = outputs
+    np.testing.assert_allclose(v, ref_v, atol=1e-12)
+    np.testing.assert_allclose(hidden, ref_hidden, atol=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    assert "encoder.cells.0.w_ih" in grads
+    for name in grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], atol=1e-12)
 
 
 @pytest.mark.usefixtures("float64_tensors")
@@ -266,18 +298,18 @@ def test_vectorized_greedy_decode_matches_per_column_loop(rnn_type):
 
     got = model.greedy_decode(src, src_mask, max_len=8)
 
-    # Reference: decode one batch column at a time with the step-wise
-    # cells and an explicit Python loop (the pre-vectorization algorithm).
+    # Reference: decode one batch column at a time through the step-wise
+    # oracle and an explicit Python loop (the pre-vectorization algorithm).
     model.eval()
-    model.fused = False
+    twin = _stepwise_twin(model)
     expected = []
-    _, state = model.encode(src, src_mask)
+    _, state = twin.encode(src, src_mask)
     for b in range(src.shape[1]):
         column = model._select_column(state, b)
         tokens, token = [], BOS
         for _ in range(8):
             step = model.embedding(np.array([token]))
-            _, column = model.decoder([step], h0=column)
+            _, column = stepwise_forward(model.decoder, [step], h0=column)
             scores = model.logits(model._top_hidden(column)).numpy()[0]
             scores[BOS] = -np.inf
             token = int(scores.argmax())
@@ -288,6 +320,21 @@ def test_vectorized_greedy_decode_matches_per_column_loop(rnn_type):
 
     assert len(got) == len(expected)
     for got_seq, want_seq in zip(got, expected):
+        np.testing.assert_array_equal(got_seq, want_seq)
+
+
+@pytest.mark.usefixtures("float64_tensors")
+@pytest.mark.parametrize("rnn_type", ["gru", "lstm"])
+def test_beam_decode_matches_stepwise(rnn_type):
+    model = _toy_model(rnn_type)
+    rng = np.random.default_rng(37)
+    src, src_mask = _toy_batch(rng)
+
+    got = model.beam_decode(src, src_mask, beam_width=3, max_len=8)
+    want = _stepwise_twin(model).beam_decode(src, src_mask, beam_width=3,
+                                             max_len=8)
+    assert len(got) == len(want) == src.shape[1]
+    for got_seq, want_seq in zip(got, want):
         np.testing.assert_array_equal(got_seq, want_seq)
 
 

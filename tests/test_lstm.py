@@ -1,4 +1,4 @@
-"""LSTM cell/stack and the GRU-vs-LSTM model option."""
+"""LSTM stack and the GRU-vs-LSTM model option."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from repro.core import EncoderDecoder, ModelConfig
 from repro.nn import Tensor
 from repro.nn.lstm import LSTM, LSTMCell
 
+from .rnn_reference import cell_step
 from .test_tensor import check_gradients
 
 
@@ -19,7 +20,7 @@ def test_lstmcell_gradients_h_path():
 
     def build(xt, ht, ct):
         cell = LSTMCell(3, 4, rng=np.random.default_rng(0))
-        new_h, _ = cell(xt, ht, ct)
+        new_h, _ = cell_step(cell, xt, ht, ct)
         return (new_h ** 2).sum()
 
     check_gradients(build, x, h, c, tol=1e-6)
@@ -35,7 +36,7 @@ def test_lstmcell_gradients_joint_h_and_c_path():
 
     def build(xt, ht, ct):
         cell = LSTMCell(3, 4, rng=np.random.default_rng(0))
-        new_h, new_c = cell(xt, ht, ct)
+        new_h, new_c = cell_step(cell, xt, ht, ct)
         return (new_h ** 2).sum() + (new_c ** 3).sum()
 
     check_gradients(build, x, h, c, tol=1e-6)
@@ -48,10 +49,8 @@ def test_forget_gate_bias_initialized_to_one():
 
 def test_lstm_stack_shapes():
     lstm = LSTM(3, 5, num_layers=2, rng=np.random.default_rng(0))
-    steps = [Tensor(np.ones((4, 3))) for _ in range(6)]
-    outputs, state = lstm(steps)
-    assert len(outputs) == 6
-    assert outputs[0].shape == (4, 5)
+    out_seq, state = lstm(Tensor(np.ones((6, 4, 3))))
+    assert out_seq.shape == (6, 4, 5)
     assert len(state) == 2
     h, c = state[-1]
     assert h.shape == (4, 5) and c.shape == (4, 5)
@@ -60,12 +59,10 @@ def test_lstm_stack_shapes():
 
 def test_lstm_masking_freezes_short_sequences():
     lstm = LSTM(3, 4, num_layers=1, rng=np.random.default_rng(0))
-    rng = np.random.default_rng(1)
-    steps = [Tensor(rng.standard_normal((2, 3))) for _ in range(4)]
+    x = np.random.default_rng(1).standard_normal((4, 2, 3))
     mask = np.array([[1, 1], [1, 1], [1, 0], [1, 0]], dtype=float)
-    _, state = lstm(steps, mask=mask)
-    short_steps = [Tensor(s.numpy()[1:2]) for s in steps[:2]]
-    _, short_state = lstm(short_steps)
+    _, state = lstm(Tensor(x), mask=mask)
+    _, short_state = lstm(Tensor(x[:2, 1:2]))
     np.testing.assert_allclose(state[-1][0].numpy()[1],
                                short_state[-1][0].numpy()[0],
                                rtol=1e-5, atol=1e-6)
@@ -76,7 +73,7 @@ def test_lstm_validation():
         LSTM(2, 3, num_layers=0)
     lstm = LSTM(2, 3, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        lstm([])
+        lstm(Tensor(np.zeros((0, 1, 2))))
 
 
 def test_encoder_decoder_lstm_option(vocab):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, concat, stack, where_const
+from repro.nn import Tensor, concat, stack
 from repro.nn.functional import log_softmax, logsumexp, softmax
 from repro.nn.tensor import _unbroadcast
+
+from .rnn_reference import where_const
 
 
 def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -122,6 +124,7 @@ class TestGradients:
         check_gradients(lambda x, y: (stack([x, y], axis=0) ** 2).sum(), a, b)
 
     def test_where_const(self):
+        # The step-wise RNN oracle masks padded steps with this select.
         a = self.rng.standard_normal((3, 4))
         b = self.rng.standard_normal((3, 4))
         cond = self.rng.random((3, 4)) > 0.5
