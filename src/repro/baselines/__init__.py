@@ -13,7 +13,7 @@ the evaluation harness treats them and t2vec uniformly:
 * :class:`VanillaRNNEmbedding` — next-cell GRU language model (vRNN).
 """
 
-from .base import TrajectoryDistance, point_dists, stack_padded
+from .base import TrajectoryDistance, stack_padded
 from .cms import CMS
 from .dissim import DISSIM
 from .dtw import DTW
@@ -33,7 +33,6 @@ __all__ = [
     "LCSS",
     "TrajectoryDistance",
     "VanillaRNNEmbedding",
-    "point_dists",
     "stack_padded",
     "suggest_epsilon",
 ]

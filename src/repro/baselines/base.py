@@ -2,14 +2,15 @@
 
 Every measure implements :class:`TrajectoryDistance`:
 
-* ``distance(a, b)`` — reference implementation for one pair.
-* ``distance_to_many(query, candidates)`` — vectorized batch version used
-  by the evaluation harness; computes the query's distance to an entire
-  database in one shot by padding candidates and running the dynamic
-  program over anti-diagonal wavefronts with numpy.
+* ``distance(a, b)`` — the distance of one pair.
+* ``distance_to_many(query, candidates)`` — the query's distance to an
+  entire database in one shot, used by the evaluation harness.
 
-Subclasses must keep the two paths consistent; the test suite checks
-``distance_to_many`` against ``distance`` pair by pair.
+The DP measures (DTW, EDR, LCSS, ERP, EDwP) have one implementation
+each: ``distance_to_many`` pads the candidates and runs the dynamic
+program over anti-diagonal wavefronts with numpy, and ``distance`` calls
+it with a single candidate.  The test suite pins every wavefront kernel
+to an independent plain-loop DP oracle kept in ``tests/``.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ import numpy as np
 from ..data.trajectory import Trajectory
 
 INF = np.inf
-
-
-def point_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances: ``(n, 2) x (m, 2) -> (n, m)``."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
 
 
 def stack_padded(trajectories: Sequence[Trajectory]) -> Tuple[np.ndarray, np.ndarray]:
@@ -71,15 +66,6 @@ class TrajectoryDistance(ABC):
     @abstractmethod
     def distance(self, a: Trajectory, b: Trajectory) -> float:
         """Distance between one pair of trajectories (lower = more similar)."""
-
-    def reference_distance(self, a: Trajectory, b: Trajectory) -> float:
-        """Independent single-pair implementation used as a test oracle.
-
-        Measures whose ``distance`` delegates to the batched kernel
-        override this with the plain (loop-based) dynamic program so the
-        batched-vs-single parity tests stay meaningful.
-        """
-        return self.distance(a, b)
 
     def distance_to_many(self, query: Trajectory,
                          candidates: Sequence[Trajectory]) -> np.ndarray:

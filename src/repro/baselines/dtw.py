@@ -14,7 +14,7 @@ import numpy as np
 
 from ..data.trajectory import Trajectory
 from .base import (INF, TrajectoryDistance, anti_diagonals,
-                   batched_cost_tensor, point_dists, stack_padded)
+                   batched_cost_tensor, stack_padded)
 
 
 class DTW(TrajectoryDistance):
@@ -24,17 +24,6 @@ class DTW(TrajectoryDistance):
 
     def distance(self, a: Trajectory, b: Trajectory) -> float:
         return float(self.distance_to_many(a, [b])[0])
-
-    def reference_distance(self, a: Trajectory, b: Trajectory) -> float:
-        cost = point_dists(a.points, b.points)
-        n, m = cost.shape
-        dp = np.full((n + 1, m + 1), INF)
-        dp[0, 0] = 0.0
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                dp[i, j] = cost[i - 1, j - 1] + min(
-                    dp[i - 1, j], dp[i, j - 1], dp[i - 1, j - 1])
-        return float(dp[n, m])
 
     def distance_to_many(self, query: Trajectory,
                          candidates: Sequence[Trajectory]) -> np.ndarray:

@@ -36,25 +36,8 @@ class EDR(TrajectoryDistance):
             raise ValueError("epsilon must be positive")
         self.epsilon = epsilon
 
-    def _matches(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(n, m) boolean: per-dimension |Δ| <= eps on both axes."""
-        diff = np.abs(a[:, None, :] - b[None, :, :])
-        return (diff <= self.epsilon).all(axis=2)
-
     def distance(self, a: Trajectory, b: Trajectory) -> float:
         return float(self.distance_to_many(a, [b])[0])
-
-    def reference_distance(self, a: Trajectory, b: Trajectory) -> float:
-        match = self._matches(a.points, b.points)
-        n, m = match.shape
-        dp = np.zeros((n + 1, m + 1))
-        dp[:, 0] = np.arange(n + 1)
-        dp[0, :] = np.arange(m + 1)
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                sub = dp[i - 1, j - 1] + (0.0 if match[i - 1, j - 1] else 1.0)
-                dp[i, j] = min(sub, dp[i - 1, j] + 1.0, dp[i, j - 1] + 1.0)
-        return float(dp[n, m])
 
     def distance_to_many(self, query: Trajectory,
                          candidates: Sequence[Trajectory]) -> np.ndarray:

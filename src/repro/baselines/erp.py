@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..data.trajectory import Trajectory
-from .base import TrajectoryDistance, anti_diagonals, batched_cost_tensor, point_dists, stack_padded
+from .base import (TrajectoryDistance, anti_diagonals, batched_cost_tensor,
+                   stack_padded)
 
 
 class ERP(TrajectoryDistance):
@@ -29,23 +30,6 @@ class ERP(TrajectoryDistance):
 
     def distance(self, a: Trajectory, b: Trajectory) -> float:
         return float(self.distance_to_many(a, [b])[0])
-
-    def reference_distance(self, a: Trajectory, b: Trajectory) -> float:
-        cost = point_dists(a.points, b.points)
-        gap_a = self._gap_costs(a.points)
-        gap_b = self._gap_costs(b.points)
-        n, m = cost.shape
-        dp = np.zeros((n + 1, m + 1))
-        dp[1:, 0] = np.cumsum(gap_a)
-        dp[0, 1:] = np.cumsum(gap_b)
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                dp[i, j] = min(
-                    dp[i - 1, j - 1] + cost[i - 1, j - 1],
-                    dp[i - 1, j] + gap_a[i - 1],
-                    dp[i, j - 1] + gap_b[j - 1],
-                )
-        return float(dp[n, m])
 
     def distance_to_many(self, query: Trajectory,
                          candidates: Sequence[Trajectory]) -> np.ndarray:

@@ -33,19 +33,6 @@ class LCSS(TrajectoryDistance):
     def distance(self, a: Trajectory, b: Trajectory) -> float:
         return float(self.distance_to_many(a, [b])[0])
 
-    def reference_distance(self, a: Trajectory, b: Trajectory) -> float:
-        diff = np.abs(a.points[:, None, :] - b.points[None, :, :])
-        match = (diff <= self.epsilon).all(axis=2)
-        n, m = match.shape
-        table = np.zeros((n + 1, m + 1), dtype=np.int64)
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                if match[i - 1, j - 1]:
-                    table[i, j] = table[i - 1, j - 1] + 1
-                else:
-                    table[i, j] = max(table[i - 1, j], table[i, j - 1])
-        return 1.0 - int(table[n, m]) / min(n, m)
-
     def distance_to_many(self, query: Trajectory,
                          candidates: Sequence[Trajectory]) -> np.ndarray:
         points, lengths = stack_padded(candidates)

@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="data-pipeline worker processes "
                             "(0 = synthesize pairs in-process)")
     train.add_argument("--bucket-batches", type=int, default=8,
-                       help="length-bucketing window of the data "
+                       help="length-sorting window of the data "
                             "pipeline, in batches")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--progress", action="store_true",

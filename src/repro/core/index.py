@@ -158,10 +158,6 @@ class ExactIndex:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def distances(self, query: np.ndarray) -> np.ndarray:
-        query = np.asarray(query, dtype=self.vectors.dtype).reshape(-1)
-        return np.sqrt(((self.vectors - query[None, :]) ** 2).sum(axis=1))
-
     def knn(self, query: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(indices, distances)`` of the k nearest vectors.
 
@@ -194,19 +190,6 @@ class ExactIndex:
         with reg.span("index.exact.knn_batch", queries=len(queries)):
             return blocked_topk(queries, self.vectors, self._sqnorms, k,
                                 block_rows or self.block_rows)
-
-    def knn_scan(self, query: np.ndarray, k: int,
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Reference single-query scan (the pre-batching serving path).
-
-        Kept as the baseline for ``benchmarks/bench_search.py`` and as a
-        test oracle; not instrumented.
-        """
-        dists = self.distances(query)
-        k = min(k, len(dists))
-        idx = np.argpartition(dists, k - 1)[:k]
-        order = np.argsort(dists[idx], kind="stable")
-        return idx[order], dists[idx[order]]
 
 
 class LSHIndex:
@@ -269,11 +252,6 @@ class LSHIndex:
         proj = np.einsum("tbd,nd->tnb", self._planes, vectors)
         powers = (1 << np.arange(self.num_bits)).astype(np.int64)
         return (proj > 0) @ powers
-
-    def _signatures(self, vectors: np.ndarray, table: int) -> np.ndarray:
-        bits = (vectors @ self._planes[table].T) > 0          # (n, bits)
-        powers = (1 << np.arange(self.num_bits)).astype(np.int64)
-        return bits @ powers
 
     def bucket_members(self, table: int, signature: int) -> np.ndarray:
         """Row indices hashed to ``signature`` in ``table``, ascending."""

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..baselines.base import TrajectoryDistance
 from ..data.dataset import pad_batch, tokenize
-from ..data.pairs import DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES
+from ..data.transforms import DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES
 from ..data.pipeline import TrainingDataPipeline
 from ..data.trajectory import Trajectory
 from ..nn.serialization import load_checkpoint, save_checkpoint

@@ -41,7 +41,7 @@ class TrainingConfig:
     patience: int = 5              # validation rounds without improvement
     eval_batches: int = 20         # validation mini-batches per round
     num_workers: int = 0           # data-pipeline worker processes
-    bucket_batches: int = 8        # length-bucketing window, in batches
+    bucket_batches: int = 8        # length-sorting window, in batches
     prefetch_batches: int = 2      # batches kept ready by the prefetcher
     seed: int = 0
 

@@ -6,18 +6,17 @@ real Porto CSV is provided for users who have the file.
 """
 
 from .archive import load_archive, save_archive
-from .dataset import (Batch, BatchSource, PairDataset, TokenPairDataset,
-                      make_batch, pad_batch, tokenize)
+from .dataset import (Batch, BatchSource, TokenPairDataset, make_batch,
+                      pad_batch, tokenize)
 from .generator import (CityConfig, SyntheticCity, dataset_statistics,
                         harbin_like, porto_like)
-from .pairs import (DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES,
-                    TrainingPair, build_training_pairs, iter_training_pairs)
 from .pipeline import (Prefetcher, TrainingDataPipeline, pair_rng,
                        synthesize_token_pairs)
 from .porto import load_porto
 from .roadnet import RoadNetwork
 from .trajectory import Trajectory
-from .transforms import (DISTORTION_RADIUS_M, alternating_split, degrade,
+from .transforms import (DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES,
+                         DISTORTION_RADIUS_M, alternating_split, degrade,
                          distort, downsample)
 
 __all__ = [
@@ -27,22 +26,18 @@ __all__ = [
     "DEFAULT_DISTORTING_RATES",
     "DEFAULT_DROPPING_RATES",
     "DISTORTION_RADIUS_M",
-    "PairDataset",
     "Prefetcher",
     "RoadNetwork",
     "SyntheticCity",
     "TokenPairDataset",
     "TrainingDataPipeline",
     "Trajectory",
-    "TrainingPair",
     "alternating_split",
-    "build_training_pairs",
     "dataset_statistics",
     "degrade",
     "distort",
     "downsample",
     "harbin_like",
-    "iter_training_pairs",
     "load_archive",
     "load_porto",
     "make_batch",

@@ -15,23 +15,16 @@ import numpy as np
 
 from ..nn.tensor import get_default_dtype
 from ..spatial.vocab import BOS, EOS, PAD, CellVocabulary
-from .pairs import TrainingPair
 from .trajectory import Trajectory
 
 
-def tokenize(trajectory: Trajectory, vocab: CellVocabulary,
-             dedup_consecutive: bool = False) -> np.ndarray:
-    """Map a trajectory to hot-cell tokens.
+def tokenize(trajectory: Trajectory, vocab: CellVocabulary) -> np.ndarray:
+    """Map a trajectory to hot-cell tokens, one per sample point.
 
-    ``dedup_consecutive`` collapses runs of identical tokens (several
-    samples inside one cell); the paper keeps duplicates, so the default
-    is ``False``.
+    Consecutive samples inside one cell give repeated tokens; the paper
+    keeps them.
     """
-    tokens = vocab.tokenize_points(trajectory.points)
-    if dedup_consecutive and len(tokens) > 1:
-        keep = np.concatenate([[True], tokens[1:] != tokens[:-1]])
-        tokens = tokens[keep]
-    return tokens
+    return vocab.tokenize_points(trajectory.points)
 
 
 def pad_batch(sequences: Sequence[np.ndarray],
@@ -74,9 +67,10 @@ def make_batch(sources: Sequence[np.ndarray],
     """Assemble one :class:`Batch` from aligned token sequences.
 
     Sources are padded as-is; targets are framed as ``BOS + y`` decoder
-    inputs and ``y + EOS`` decoder outputs (paper Figure 2).  Shared by
-    :class:`TokenPairDataset` and the streaming pipeline so both produce
-    bit-identical batches from the same token pairs.
+    inputs and ``y + EOS`` decoder outputs (paper Figure 2).  The one
+    batch builder: :class:`TokenPairDataset` and
+    :class:`~repro.data.pipeline.TrainingDataPipeline` both call it, so
+    the same token pairs give bit-identical batches on either path.
     """
     src, src_mask = pad_batch(list(sources))
     tgt_in, _ = pad_batch([np.concatenate([[BOS], t]) for t in targets])
@@ -88,9 +82,11 @@ def make_batch(sources: Sequence[np.ndarray],
 class BatchSource(Protocol):
     """Anything :class:`~repro.core.trainer.Trainer` can draw batches from.
 
-    Implemented by :class:`TokenPairDataset` (materialized reference path)
-    and :class:`repro.data.pipeline.TrainingDataPipeline` (parallel
-    streaming path).
+    Implemented by :class:`repro.data.pipeline.TrainingDataPipeline`,
+    which synthesizes the paper's training pairs and streams them, and by
+    :class:`TokenPairDataset`, which holds token pairs in memory: a
+    pipeline's :meth:`~repro.data.pipeline.TrainingDataPipeline.materialize`
+    result (validation sets) or any other aligned sequences (time series).
     """
 
     def __len__(self) -> int: ...
@@ -143,16 +139,3 @@ class TokenPairDataset:
         return make_batch([self.sources[i] for i in indices],
                           [self.targets[i] for i in indices])
 
-
-class PairDataset(TokenPairDataset):
-    """Trajectory training pairs tokenized through a cell vocabulary."""
-
-    def __init__(self, pairs: Sequence[TrainingPair], vocab: CellVocabulary,
-                 dedup_consecutive: bool = False):
-        self.vocab = vocab
-        super().__init__(
-            sources=[tokenize(p.source, vocab, dedup_consecutive)
-                     for p in pairs],
-            targets=[tokenize(p.target, vocab, dedup_consecutive)
-                     for p in pairs],
-        )

@@ -14,10 +14,9 @@ it instead:
   depends only on the original's position, never on which worker
   happened to process it.
 * **Fused per-original work.**  The target is tokenized once per
-  original (the materialized path tokenized it once per pair — 16×),
-  and all variants' points go through a single KD-tree query, so even
-  the in-process mode is several times faster than
-  ``build_training_pairs`` + :class:`~repro.data.dataset.PairDataset`.
+  original, not once per pair, and all variants' points go through a
+  single KD-tree query.  Variants come from the array kernels behind
+  :func:`~repro.data.transforms.degrade`, draw for draw.
 * **Bounded streaming.**  Workers push ``(chunk_index, pairs)`` results
   through a bounded queue; the consumer restores original order with a
   small reorder buffer (chunks are round-robin, so no worker can run
@@ -27,7 +26,7 @@ it instead:
   of ``bucket_batches`` batches, are stable-sorted by source length,
   chunked, and the chunk order is shuffled — long sequences pad against
   long ones, so the RNN layer kernels burn far fewer FLOPs on PAD
-  positions than shuffle-only batching, without a global length
+  positions than shuffle-only batching would, without a global length
   curriculum.
 * **Double-buffered prefetch.**  A background thread (:class:`Prefetcher`)
   keeps ``prefetch_batches`` assembled batches ready so the optimizer
@@ -52,12 +51,16 @@ import numpy as np
 from ..spatial.vocab import CellVocabulary
 from ..telemetry import MetricsRegistry, get_registry
 from .dataset import Batch, TokenPairDataset, make_batch
-from .pairs import DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES
 from .trajectory import Trajectory
-from .transforms import DISTORTION_RADIUS_M
+from .transforms import (DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES,
+                         check_distorting_rate, check_dropping_rate,
+                         distort_points, drop_mask)
 
 #: One tokenized training pair: (degraded source tokens, target tokens).
 TokenPair = Tuple[np.ndarray, np.ndarray]
+
+#: Bound on the inter-process result queue, in work items.
+QUEUE_SIZE = 8
 
 
 # ----------------------------------------------------------------------
@@ -74,86 +77,48 @@ def pair_rng(seed: int, original_index: int, epoch: int = 0) -> np.random.Genera
         np.random.SeedSequence(seed, spawn_key=(epoch, original_index)))
 
 
-def _degraded_points(points: np.ndarray, dropping_rate: float,
-                     distorting_rate: float, rng: np.random.Generator,
-                     radius: float = DISTORTION_RADIUS_M) -> np.ndarray:
-    """Raw-array twin of :func:`repro.data.transforms.degrade`.
-
-    Draw-for-draw identical to ``degrade(Trajectory(points), r1, r2, rng)``
-    (pinned by tests), minus the per-variant ``Trajectory`` construction
-    and validation overhead.
-    """
-    n = len(points)
-    if dropping_rate > 0.0 and n > 2:
-        keep = rng.random(n) >= dropping_rate
-        keep[0] = True
-        keep[-1] = True
-        points = points[keep]
-    if distorting_rate > 0.0:
-        selected = rng.random(len(points)) < distorting_rate
-        if selected.any():
-            points = points.copy()
-            noise = rng.standard_normal((int(selected.sum()), 2)) * radius
-            points[selected] += noise
-    return points
-
-
-def _dedup_consecutive(tokens: np.ndarray) -> np.ndarray:
-    """Collapse runs of identical tokens (same rule as ``tokenize``)."""
-    if len(tokens) > 1:
-        keep = np.concatenate([[True], tokens[1:] != tokens[:-1]])
-        tokens = tokens[keep]
-    return tokens
-
-
 def synthesize_token_pairs(original: Trajectory, vocab: CellVocabulary,
                            dropping_rates: Sequence[float],
                            distorting_rates: Sequence[float],
-                           rng: np.random.Generator,
-                           dedup_consecutive: bool = False) -> List[TokenPair]:
+                           rng: np.random.Generator) -> List[TokenPair]:
     """Degrade → tokenize the full r1 × r2 grid for one original.
 
-    The target is tokenized once and shared (read-only) across the
-    grid's pairs; all variants' points go through one KD-tree query.
+    Pairs come r1-major, in grid order.  Each variant draws from ``rng``
+    exactly as ``degrade(original, r1, r2, rng)`` would.  The target is
+    tokenized once and shared (read-only) across the grid's pairs; all
+    variants' points go through one KD-tree query.
     """
     points = original.points
     target = vocab.tokenize_points(points)
-    if dedup_consecutive:
-        target = _dedup_consecutive(target)
     variants: List[np.ndarray] = []
     for r1 in dropping_rates:
         for r2 in distorting_rates:
-            variants.append(_degraded_points(points, r1, r2, rng))
+            keep = drop_mask(len(points), r1, rng)
+            variants.append(distort_points(
+                points if keep is None else points[keep], r2, rng))
     lengths = [len(v) for v in variants]
     tokens = vocab.tokenize_points(np.concatenate(variants, axis=0))
     offsets = np.concatenate([[0], np.cumsum(lengths)])
-    pairs: List[TokenPair] = []
-    for i in range(len(variants)):
-        source = tokens[offsets[i]:offsets[i + 1]].copy()
-        if dedup_consecutive:
-            source = _dedup_consecutive(source)
-        pairs.append((source, target))
-    return pairs
+    return [(tokens[offsets[i]:offsets[i + 1]].copy(), target)
+            for i in range(len(variants))]
 
 
 def _synthesize_chunk(originals: Sequence[Trajectory], start_index: int,
                       vocab: CellVocabulary,
                       dropping_rates: Sequence[float],
                       distorting_rates: Sequence[float],
-                      seed: int, epoch: int,
-                      dedup_consecutive: bool) -> List[TokenPair]:
+                      seed: int, epoch: int) -> List[TokenPair]:
     """All token pairs for one contiguous chunk of originals."""
     pairs: List[TokenPair] = []
     for offset, original in enumerate(originals):
         rng = pair_rng(seed, start_index + offset, epoch)
         pairs.extend(synthesize_token_pairs(
-            original, vocab, dropping_rates, distorting_rates, rng,
-            dedup_consecutive))
+            original, vocab, dropping_rates, distorting_rates, rng))
     return pairs
 
 
 def _worker_main(work_items, vocab, dropping_rates, distorting_rates,
-                 seed, epoch, dedup_consecutive, out_queue) -> None:
+                 seed, epoch, out_queue) -> None:
     """Worker process: synthesize assigned chunks, stream them back.
 
     Each result is ``("chunk", chunk_index, pairs, produce_seconds)``;
@@ -167,7 +132,7 @@ def _worker_main(work_items, vocab, dropping_rates, distorting_rates,
             started = time.perf_counter()
             pairs = _synthesize_chunk(originals, start_index, vocab,
                                       dropping_rates, distorting_rates,
-                                      seed, epoch, dedup_consecutive)
+                                      seed, epoch)
             out_queue.put(("chunk", chunk_index, pairs,
                            time.perf_counter() - started))
         out_queue.put(("done", None, None, None))
@@ -256,12 +221,25 @@ class Prefetcher:
 class TrainingDataPipeline:
     """Streams length-bucketed training batches from original trajectories.
 
+    The one implementation of the paper's pair synthesis: every original
+    in ``originals`` yields one (degraded source, original target) token
+    pair per ``(r1, r2)`` in ``dropping_rates`` × ``distorting_rates``.
     Implements the :class:`~repro.data.dataset.BatchSource` protocol, so
     :meth:`repro.core.trainer.Trainer.fit` consumes it exactly like a
     materialized :class:`~repro.data.dataset.TokenPairDataset`.
 
     Parameters
     ----------
+    originals:
+        The target trajectories Tb.
+    vocab:
+        Hot-cell vocabulary that tokenizes sources and targets.
+    dropping_rates, distorting_rates:
+        The r1 and r2 grids (default: the paper's four rates each).
+        Checked like :func:`~repro.data.transforms.degrade` checks them:
+        r1 in ``[0, 1)``, r2 in ``[0, 1]``.
+    seed:
+        Root of the per-original RNGs (:func:`pair_rng`).
     num_workers:
         ``0`` synthesizes in-process (the reference mode); ``n > 0``
         shards chunk synthesis across ``n`` processes.  The token-pair
@@ -269,21 +247,16 @@ class TrainingDataPipeline:
     chunk_size:
         Originals per work item (amortizes queue/pickle overhead).
     bucket_batches:
-        Length-bucketing window, in batches.  ``None`` buffers the whole
+        Length-sorting window, in batches.  ``None`` buffers the whole
         epoch, which makes the batch stream exactly reproduce
         ``TokenPairDataset.batches`` over the same token pairs.
     prefetch_batches:
         Assembled batches kept ready by the background prefetch thread
         (``0`` disables prefetching).
-    queue_size:
-        Bound on the inter-process result queue, in work items.
-    bucketing:
-        ``False`` switches to shuffle-only batching (no length sort) —
-        kept for the padding-efficiency benchmark.
     fresh_each_epoch:
         Re-degrade originals with new draws on every ``batches()`` call
         (epoch-indexed seeds).  Leave ``False`` for validation pipelines
-        and for parity with the materialize-once reference path.
+        and for parity with :meth:`materialize`.
     start_method:
         Multiprocessing start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``); ``None`` uses the platform default.  The
@@ -299,10 +272,7 @@ class TrainingDataPipeline:
                  chunk_size: int = 16,
                  bucket_batches: Optional[int] = 8,
                  prefetch_batches: int = 2,
-                 queue_size: int = 8,
-                 bucketing: bool = True,
                  fresh_each_epoch: bool = False,
-                 dedup_consecutive: bool = False,
                  start_method: Optional[str] = None,
                  registry: Optional[MetricsRegistry] = None):
         if num_workers < 0:
@@ -315,21 +285,20 @@ class TrainingDataPipeline:
         if prefetch_batches < 0:
             raise ValueError(
                 f"prefetch_batches must be >= 0, got {prefetch_batches}")
-        if queue_size < 1:
-            raise ValueError(f"queue_size must be >= 1, got {queue_size}")
-        self.originals = list(originals)
-        self.vocab = vocab
         self.dropping_rates = tuple(dropping_rates)
         self.distorting_rates = tuple(distorting_rates)
+        for rate in self.dropping_rates:
+            check_dropping_rate(rate)
+        for rate in self.distorting_rates:
+            check_distorting_rate(rate)
+        self.originals = list(originals)
+        self.vocab = vocab
         self.seed = seed
         self.num_workers = num_workers
         self.chunk_size = chunk_size
         self.bucket_batches = bucket_batches
         self.prefetch_batches = prefetch_batches
-        self.queue_size = queue_size
-        self.bucketing = bucketing
         self.fresh_each_epoch = fresh_each_epoch
-        self.dedup_consecutive = dedup_consecutive
         self.start_method = start_method
         self.registry = registry
         self._epoch = 0
@@ -364,8 +333,7 @@ class TrainingDataPipeline:
             pairs = _synthesize_chunk(chunk, start, self.vocab,
                                       self.dropping_rates,
                                       self.distorting_rates,
-                                      self.seed, epoch,
-                                      self.dedup_consecutive)
+                                      self.seed, epoch)
             reg.histogram("data.worker.produce_s").observe(
                 time.perf_counter() - started)
             reg.counter("data.pairs").inc(len(pairs))
@@ -375,14 +343,14 @@ class TrainingDataPipeline:
     def _parallel_pairs(self, epoch: int) -> Iterator[TokenPair]:
         reg = self._registry()
         ctx = mp.get_context(self.start_method)
-        out_queue = ctx.Queue(maxsize=self.queue_size)
+        out_queue = ctx.Queue(maxsize=QUEUE_SIZE)
         items = list(self._chunks())
         shards = [items[w::self.num_workers] for w in range(self.num_workers)]
         processes = [
             ctx.Process(target=_worker_main,
                         args=(shard, self.vocab, self.dropping_rates,
                               self.distorting_rates, self.seed, epoch,
-                              self.dedup_consecutive, out_queue),
+                              out_queue),
                         daemon=True)
             for shard in shards if shard
         ]
@@ -496,27 +464,16 @@ class TrainingDataPipeline:
 
     def _flush(self, pairs: List[TokenPair], batch_size: int,
                shuffle_rng: Optional[np.random.Generator]) -> Iterator[Batch]:
-        """Batch one bucketing window.
-
-        With bucketing: stable length sort → consecutive chunks →
-        shuffled chunk order (the same scheme as
-        ``TokenPairDataset.batches``, per window).  Without: shuffled
-        pair order → consecutive chunks.
-        """
+        """Batch one length-bucketed window: stable length sort →
+        consecutive chunks → shuffled chunk order (the same scheme as
+        ``TokenPairDataset.batches``, per window)."""
         reg = self._registry()
-        if self.bucketing:
-            order = np.argsort([len(source) for source, _ in pairs],
-                               kind="stable")
-            chunks = [order[i:i + batch_size]
-                      for i in range(0, len(order), batch_size)]
-            if shuffle_rng is not None:
-                shuffle_rng.shuffle(chunks)
-        else:
-            order = np.arange(len(pairs))
-            if shuffle_rng is not None:
-                shuffle_rng.shuffle(order)
-            chunks = [order[i:i + batch_size]
-                      for i in range(0, len(order), batch_size)]
+        order = np.argsort([len(source) for source, _ in pairs],
+                           kind="stable")
+        chunks = [order[i:i + batch_size]
+                  for i in range(0, len(order), batch_size)]
+        if shuffle_rng is not None:
+            shuffle_rng.shuffle(chunks)
         for chunk in chunks:
             batch = make_batch([pairs[i][0] for i in chunk],
                                [pairs[i][1] for i in chunk])

@@ -5,19 +5,18 @@ import pytest
 
 from repro.core import (EncoderDecoder, LossSpec, ModelConfig, Trainer,
                         TrainingConfig)
-from repro.data import PairDataset, build_training_pairs
+from repro.data import TrainingDataPipeline
 from repro.telemetry import (Callback, HistoryCallback, MetricsRegistry,
                              ProgressLogger, StopTraining)
 
 
 @pytest.fixture(scope="module")
 def datasets(vocab, trips):
-    rng = np.random.default_rng(0)
-    train_pairs = build_training_pairs(trips[:10], dropping_rates=(0.0,),
-                                       distorting_rates=(0.0,), rng=rng)
-    val_pairs = build_training_pairs(trips[10:13], dropping_rates=(0.0,),
-                                     distorting_rates=(0.0,), rng=rng)
-    return PairDataset(train_pairs, vocab), PairDataset(val_pairs, vocab)
+    def clean_pairs(originals):
+        return TrainingDataPipeline(originals, vocab, dropping_rates=(0.0,),
+                                    distorting_rates=(0.0,)).materialize()
+
+    return clean_pairs(trips[:10]), clean_pairs(trips[10:13])
 
 
 def make_trainer(vocab, registry=None, **config):

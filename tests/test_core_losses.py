@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import EncoderDecoder, LossSpec, ModelConfig, sequence_loss
-from repro.data import PairDataset, build_training_pairs
+from repro.data import TrainingDataPipeline
 
 
 @pytest.fixture(scope="module")
 def setup(vocab, trips):
     rng = np.random.default_rng(0)
-    pairs = build_training_pairs(trips[:3], dropping_rates=(0.0, 0.4),
-                                 distorting_rates=(0.0,), rng=rng)
-    dataset = PairDataset(pairs, vocab)
+    dataset = TrainingDataPipeline(trips[:3], vocab, dropping_rates=(0.0, 0.4),
+                                   distorting_rates=(0.0,)).materialize()
     batch = next(dataset.batches(6, rng, shuffle=False))
     model = EncoderDecoder(ModelConfig(vocab.size, 16, 16, num_layers=1,
                                        dropout=0.0, seed=0))

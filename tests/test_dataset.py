@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import PairDataset, build_training_pairs, pad_batch, tokenize
+from repro.data import TrainingDataPipeline, pad_batch, tokenize
 from repro.data.dataset import Batch
 from repro.spatial import BOS, EOS, PAD
 
@@ -14,12 +14,6 @@ def test_tokenize_length_matches_points(trips, vocab):
     tokens = tokenize(trips[0], vocab)
     assert len(tokens) == len(trips[0])
     assert tokens.min() >= 4
-
-
-def test_tokenize_dedup_consecutive(trips, vocab):
-    tokens = tokenize(trips[0], vocab, dedup_consecutive=True)
-    assert (np.diff(tokens) != 0).all()
-    assert len(tokens) <= len(trips[0])
 
 
 def test_pad_batch_shapes_and_mask():
@@ -49,18 +43,16 @@ def test_pad_batch_empty_raises():
 
 
 def test_pair_dataset_batches_cover_everything(trips, vocab, rng):
-    pairs = build_training_pairs(trips[:4], dropping_rates=(0.0, 0.4),
-                                 distorting_rates=(0.0,), rng=rng)
-    dataset = PairDataset(pairs, vocab)
+    dataset = TrainingDataPipeline(trips[:4], vocab, dropping_rates=(0.0, 0.4),
+                                   distorting_rates=(0.0,)).materialize()
     assert len(dataset) == 8
     batches = list(dataset.batches(3, rng))
     assert sum(b.size for b in batches) == 8
 
 
 def test_batch_decoder_framing(trips, vocab, rng):
-    pairs = build_training_pairs(trips[:2], dropping_rates=(0.0,),
-                                 distorting_rates=(0.0,), rng=rng)
-    dataset = PairDataset(pairs, vocab)
+    dataset = TrainingDataPipeline(trips[:2], vocab, dropping_rates=(0.0,),
+                                   distorting_rates=(0.0,)).materialize()
     batch = next(dataset.batches(2, rng, shuffle=False))
     assert isinstance(batch, Batch)
     # Decoder input starts with BOS; decoder target ends with EOS.
@@ -74,9 +66,8 @@ def test_batch_decoder_framing(trips, vocab, rng):
 
 
 def test_batches_group_similar_lengths(trips, vocab, rng):
-    pairs = build_training_pairs(trips[:8], dropping_rates=(0.0, 0.6),
-                                 distorting_rates=(0.0,), rng=rng)
-    dataset = PairDataset(pairs, vocab)
+    dataset = TrainingDataPipeline(trips[:8], vocab, dropping_rates=(0.0, 0.6),
+                                   distorting_rates=(0.0,)).materialize()
     for batch in dataset.batches(4, rng):
         lengths = batch.src_mask.sum(axis=0)
         assert lengths.max() - lengths.min() <= lengths.max()  # sane
@@ -88,8 +79,7 @@ def test_batches_group_similar_lengths(trips, vocab, rng):
 
 
 def test_invalid_batch_size(trips, vocab, rng):
-    pairs = build_training_pairs(trips[:1], rng=rng)
-    dataset = PairDataset(pairs, vocab)
+    dataset = TrainingDataPipeline(trips[:1], vocab).materialize()
     with pytest.raises(ValueError):
         next(dataset.batches(0, rng))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import EncoderDecoder, ModelConfig
-from repro.data import build_training_pairs, PairDataset
+from repro.data import TrainingDataPipeline
 from repro.spatial import BOS, EOS
 
 
@@ -18,9 +18,8 @@ def model(vocab):
 @pytest.fixture(scope="module")
 def batch(vocab, trips):
     rng = np.random.default_rng(0)
-    pairs = build_training_pairs(trips[:4], dropping_rates=(0.0, 0.4),
-                                 distorting_rates=(0.0,), rng=rng)
-    dataset = PairDataset(pairs, vocab)
+    dataset = TrainingDataPipeline(trips[:4], vocab, dropping_rates=(0.0, 0.4),
+                                   distorting_rates=(0.0,)).materialize()
     return next(dataset.batches(8, rng, shuffle=False))
 
 

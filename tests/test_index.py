@@ -6,6 +6,8 @@ import pytest
 from repro.core import ExactIndex, LSHIndex
 from repro.core.index import blocked_topk, pairwise_distances
 
+from .index_reference import knn_scan, table_signatures
+
 
 @pytest.fixture(scope="module")
 def vectors():
@@ -48,7 +50,7 @@ class TestExactIndex:
         index = ExactIndex(vectors)
         for query in queries:
             idx, dists = index.knn(query, k=10)
-            ref_idx, ref_dists = index.knn_scan(query, k=10)
+            ref_idx, ref_dists = knn_scan(index, query, k=10)
             np.testing.assert_array_equal(idx, ref_idx)
             np.testing.assert_allclose(dists, ref_dists, rtol=1e-9)
 
@@ -212,7 +214,7 @@ class TestLSHIndex:
         lsh = LSHIndex(vectors, num_tables=3, num_bits=5, seed=1)
         for t in range(lsh.num_tables):
             table = {}
-            for i, sig in enumerate(lsh._signatures(vectors, t)):
+            for i, sig in enumerate(table_signatures(lsh, vectors, t)):
                 table.setdefault(int(sig), []).append(i)
             seen = 0
             for sig, members in table.items():
@@ -227,7 +229,7 @@ class TestLSHIndex:
         all_sigs = lsh._signatures_all(vectors)
         for t in range(lsh.num_tables):
             np.testing.assert_array_equal(all_sigs[t],
-                                          lsh._signatures(vectors, t))
+                                          table_signatures(lsh, vectors, t))
 
 
 class TestLSHBatch:

@@ -95,11 +95,9 @@ def test_invalid_rnn_type_rejected(vocab):
 def test_lstm_trains_on_tiny_task(vocab, trips):
     """End-to-end: an LSTM seq2seq step reduces the loss like the GRU."""
     from repro.core import LossSpec, Trainer, TrainingConfig
-    from repro.data import PairDataset, build_training_pairs
-    rng = np.random.default_rng(0)
-    pairs = build_training_pairs(trips[:6], dropping_rates=(0.0,),
-                                 distorting_rates=(0.0,), rng=rng)
-    dataset = PairDataset(pairs, vocab)
+    from repro.data import TrainingDataPipeline
+    dataset = TrainingDataPipeline(trips[:6], vocab, dropping_rates=(0.0,),
+                                   distorting_rates=(0.0,)).materialize()
     model = EncoderDecoder(ModelConfig(vocab.size, 12, 12, num_layers=1,
                                        dropout=0.0, rnn_type="lstm", seed=0))
     trainer = Trainer(model, vocab, LossSpec(kind="L1"),

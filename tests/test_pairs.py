@@ -3,81 +3,64 @@
 import numpy as np
 
 from repro.data import (DEFAULT_DISTORTING_RATES, DEFAULT_DROPPING_RATES,
-                        build_training_pairs, iter_training_pairs)
+                        TrainingDataPipeline, tokenize)
+from repro.data.pipeline import synthesize_token_pairs
+
+GRID = [(r1, r2) for r1 in DEFAULT_DROPPING_RATES
+        for r2 in DEFAULT_DISTORTING_RATES]
 
 
-def test_sixteen_pairs_per_original(trips, rng):
+def pairs_of(original, vocab, rng, dropping_rates=DEFAULT_DROPPING_RATES,
+             distorting_rates=DEFAULT_DISTORTING_RATES):
+    return synthesize_token_pairs(original, vocab, dropping_rates,
+                                  distorting_rates, rng)
+
+
+def test_sixteen_pairs_per_original(trips, vocab):
     originals = trips[:3]
-    pairs = build_training_pairs(originals, rng=rng)
-    assert len(pairs) == 16 * len(originals)
+    pipeline = TrainingDataPipeline(originals, vocab, seed=0)
+    assert len(pipeline) == 16 * len(originals)
+    assert len(list(pipeline.token_pairs())) == 16 * len(originals)
 
 
-def test_rate_grid_covered(trips, rng):
-    pairs = build_training_pairs(trips[:1], rng=rng)
-    combos = {(p.dropping_rate, p.distorting_rate) for p in pairs}
-    assert combos == {(r1, r2) for r1 in DEFAULT_DROPPING_RATES
-                      for r2 in DEFAULT_DISTORTING_RATES}
-
-
-def test_target_is_the_original(trips, rng):
+def test_rate_grid_covered(trips, vocab, rng):
+    """One pair per (r1, r2), r1-major: every r1 = 0 source keeps the
+    original's length, and the r1 = r2 = 0 source is the target."""
     original = trips[0]
-    pairs = build_training_pairs([original], rng=rng)
-    for pair in pairs:
-        np.testing.assert_array_equal(pair.target.points, original.points)
+    pairs = pairs_of(original, vocab, rng)
+    assert len(pairs) == len(GRID)
+    for (source, target), (r1, r2) in zip(pairs, GRID):
+        if r1 == 0.0:
+            assert len(source) == len(target)
+        if r1 == 0.0 and r2 == 0.0:
+            np.testing.assert_array_equal(source, target)
 
 
-def test_sources_are_degraded(trips, rng):
+def test_target_is_the_original(trips, vocab, rng):
     original = trips[0]
-    pairs = build_training_pairs([original], dropping_rates=(0.6,),
-                                 distorting_rates=(0.0,), rng=rng)
-    assert len(pairs[0].source) < len(original)
+    expected = tokenize(original, vocab)
+    for _, target in pairs_of(original, vocab, rng):
+        np.testing.assert_array_equal(target, expected)
 
 
-def test_clean_pair_identity(trips, rng):
-    pairs = build_training_pairs(trips[:1], dropping_rates=(0.0,),
-                                 distorting_rates=(0.0,), rng=rng)
-    np.testing.assert_array_equal(pairs[0].source.points, trips[0].points)
+def test_sources_are_degraded(trips, vocab, rng):
+    original = trips[0]
+    pairs = pairs_of(original, vocab, rng, dropping_rates=(0.6,),
+                     distorting_rates=(0.0,))
+    assert len(pairs[0][0]) < len(original)
 
 
-def test_source_endpoints_preserved(trips, rng):
-    pairs = build_training_pairs(trips[:4], rng=rng)
-    for pair in pairs:
-        if pair.distorting_rate == 0.0:  # distortion may move endpoints
-            np.testing.assert_array_equal(pair.source.start, pair.target.start)
-            np.testing.assert_array_equal(pair.source.end, pair.target.end)
+def test_clean_pair_identity(trips, vocab):
+    dataset = TrainingDataPipeline(trips[:1], vocab, dropping_rates=(0.0,),
+                                   distorting_rates=(0.0,)).materialize()
+    np.testing.assert_array_equal(dataset.sources[0],
+                                  tokenize(trips[0], vocab))
 
 
-def test_clean_pair_source_does_not_alias_target(trips, rng):
-    """r1 = r2 = 0 leaves degrade a no-op; the pair must still hand out
-    an independent copy, or mutating the source corrupts the target."""
-    for make in (build_training_pairs,
-                 lambda *a, **kw: list(iter_training_pairs(*a, **kw))):
-        pairs = make(trips[:2], dropping_rates=(0.0,),
-                     distorting_rates=(0.0,), rng=rng)
-        for pair in pairs:
-            assert pair.source is not pair.target
-            assert pair.source.points is not pair.target.points
-            np.testing.assert_array_equal(pair.source.points,
-                                          pair.target.points)
-
-
-def test_defensive_copy_preserves_metadata(trips, rng):
-    pairs = build_training_pairs(trips[:1], dropping_rates=(0.0,),
-                                 distorting_rates=(0.0,), rng=rng)
-    source, target = pairs[0].source, pairs[0].target
-    assert source.traj_id == target.traj_id
-    assert source.route_id == target.route_id
-    if target.timestamps is None:
-        assert source.timestamps is None
-    else:
-        assert source.timestamps is not target.timestamps
-        np.testing.assert_array_equal(source.timestamps, target.timestamps)
-
-
-def test_iter_matches_build_count(trips):
-    originals = trips[:2]
-    lazy = list(iter_training_pairs(originals, rng=np.random.default_rng(0)))
-    eager = build_training_pairs(originals, rng=np.random.default_rng(0))
-    assert len(lazy) == len(eager)
-    for a, b in zip(lazy, eager):
-        np.testing.assert_array_equal(a.source.points, b.source.points)
+def test_source_endpoints_preserved(trips, vocab):
+    pipeline = TrainingDataPipeline(trips[:4], vocab, seed=0)
+    for index, (source, target) in enumerate(pipeline.token_pairs()):
+        _, r2 = GRID[index % len(GRID)]
+        if r2 == 0.0:  # distortion may move endpoints
+            assert source[0] == target[0]
+            assert source[-1] == target[-1]

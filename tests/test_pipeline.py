@@ -6,8 +6,9 @@ The contract under test (docs/performance.md "Data pipeline"):
   (per-original ``SeedSequence``-spawned RNGs, order-restoring collector);
 * with a whole-epoch bucketing window, the batch stream exactly matches
   the materialized ``TokenPairDataset.batches`` reference path;
-* the worker's raw-array degrade is draw-for-draw identical to the
-  public ``degrade`` transform;
+* the worker's degrade (the transforms' array kernels) is draw-for-draw
+  identical to the public ``degrade`` transform;
+* the rate grid is checked like ``degrade`` checks its rates;
 * bucketing pads less than shuffle-only batching, and the padding
   counters/queue metrics land in the registry.
 """
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.data import (TokenPairDataset, TrainingDataPipeline, degrade,
-                        tokenize)
+                        make_batch, tokenize)
 from repro.data.pipeline import (Prefetcher, pair_rng, synthesize_token_pairs)
 from repro.telemetry import MetricsRegistry
 
@@ -97,7 +98,7 @@ def test_unshuffled_whole_epoch_window_matches_reference(trips, vocab):
 
 
 def test_worker_degrade_matches_public_transform(trips, vocab):
-    """The fused raw-array degrade is draw-for-draw `degrade`."""
+    """The pipeline's degrade is draw-for-draw `degrade`."""
     for index, original in enumerate(trips[:4]):
         pairs = synthesize_token_pairs(original, vocab, RATES, RATES,
                                        pair_rng(7, index))
@@ -159,12 +160,24 @@ def pad_overhead(batches):
     return (total - real) / real
 
 
+def shuffled_batches(pairs, batch_size, window, rng):
+    """Shuffle-only batching: per window, shuffled order → chunks."""
+    batches = []
+    for start in range(0, len(pairs), window):
+        order = start + rng.permutation(min(window, len(pairs) - start))
+        for i in range(0, len(order), batch_size):
+            chunk = order[i:i + batch_size]
+            batches.append(make_batch([pairs[j][0] for j in chunk],
+                                      [pairs[j][1] for j in chunk]))
+    return batches
+
+
 def test_bucketing_reduces_padding_overhead(trips, vocab):
-    bucketed = make_pipeline(trips, vocab, bucket_batches=8)
-    shuffled = make_pipeline(trips, vocab, bucket_batches=8, bucketing=False)
+    pipeline = make_pipeline(trips, vocab, bucket_batches=8)
     rng = np.random.default_rng(0)
-    bucketed_overhead = pad_overhead(list(bucketed.batches(16, rng)))
-    shuffled_overhead = pad_overhead(list(shuffled.batches(16, rng)))
+    bucketed_overhead = pad_overhead(list(pipeline.batches(16, rng)))
+    shuffled_overhead = pad_overhead(
+        shuffled_batches(list(pipeline.token_pairs()), 16, 16 * 8, rng))
     assert bucketed_overhead < shuffled_overhead
 
 
@@ -229,12 +242,22 @@ def test_worker_failure_surfaces_as_error(trips, vocab):
 
 def test_invalid_configuration_rejected(trips, vocab):
     for kwargs in ({"num_workers": -1}, {"chunk_size": 0},
-                   {"bucket_batches": 0}, {"prefetch_batches": -1},
-                   {"queue_size": 0}):
+                   {"bucket_batches": 0}, {"prefetch_batches": -1}):
         with pytest.raises(ValueError):
             make_pipeline(trips[:4], vocab, **kwargs)
     with pytest.raises(ValueError):
         next(make_pipeline(trips[:4], vocab).batches(0))
+
+
+@pytest.mark.parametrize("rates", [
+    {"dropping_rates": (0.0, 1.0)},
+    {"distorting_rates": (0.0, 1.5)},
+    {"distorting_rates": (-0.5, 0.0)},
+])
+def test_out_of_range_rates_rejected(trips, vocab, rates):
+    """The pipeline refuses the rates `degrade` refuses, up front."""
+    with pytest.raises(ValueError, match="rate"):
+        make_pipeline(trips[:4], vocab, num_workers=0, **rates)
 
 
 # ----------------------------------------------------------------------

@@ -6,18 +6,17 @@ import pytest
 from repro.core import (EncoderDecoder, LossSpec, ModelConfig, Trainer,
                         TrainingConfig)
 from repro.core import trainer as trainer_module
-from repro.data import PairDataset, build_training_pairs
+from repro.data import TrainingDataPipeline
 from repro.telemetry import Callback, StopTraining
 
 
 @pytest.fixture(scope="module")
 def datasets(vocab, trips):
-    rng = np.random.default_rng(0)
-    train_pairs = build_training_pairs(trips[:12], dropping_rates=(0.0, 0.4),
-                                       distorting_rates=(0.0,), rng=rng)
-    val_pairs = build_training_pairs(trips[12:16], dropping_rates=(0.0,),
-                                     distorting_rates=(0.0,), rng=rng)
-    return PairDataset(train_pairs, vocab), PairDataset(val_pairs, vocab)
+    train = TrainingDataPipeline(trips[:12], vocab, dropping_rates=(0.0, 0.4),
+                                 distorting_rates=(0.0,), seed=0)
+    val = TrainingDataPipeline(trips[12:16], vocab, dropping_rates=(0.0,),
+                               distorting_rates=(0.0,), seed=1)
+    return train.materialize(), val.materialize()
 
 
 def make_model(vocab, seed=0):

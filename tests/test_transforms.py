@@ -98,6 +98,24 @@ class TestAlternatingSplit:
         assert odd.route_id == even.route_id == 2
 
 
+def test_degrade_keeps_surviving_timestamps_and_ids():
+    n = 40
+    pts = np.stack([np.arange(n) * 25.0, np.zeros(n)], axis=1)
+    t = Trajectory(points=pts, timestamps=np.arange(n) * 15.0,
+                   traj_id=9, route_id=3)
+    dropped = downsample(t, 0.5, np.random.default_rng(4))
+    assert len(dropped) < n
+    for out in (dropped, degrade(t, 0.5, 0.0, np.random.default_rng(4))):
+        assert out.traj_id == 9 and out.route_id == 3
+        # Point k sits at x = 25k m and was sampled at 15k s.
+        np.testing.assert_array_equal(out.timestamps,
+                                      out.points[:, 0] / 25.0 * 15.0)
+    # Distortion moves points but keeps the survivors' timestamps and ids.
+    distorted = degrade(t, 0.5, 0.5, np.random.default_rng(4))
+    assert distorted.traj_id == 9 and distorted.route_id == 3
+    np.testing.assert_array_equal(distorted.timestamps, dropped.timestamps)
+
+
 def test_degrade_composes_both(line_trajectory):
     rng = np.random.default_rng(5)
     out = degrade(line_trajectory, 0.5, 0.5, rng)
