@@ -27,8 +27,14 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ..nn.tensor import get_default_dtype
+
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 NUM_SPECIALS = 4
+
+# Target rows per tile of :meth:`ProximityVocabulary.full_weights`: bounds
+# its float64 (rows, tokens) distance and kernel temporaries.
+FULL_WEIGHTS_TILE_ROWS = 128
 
 
 class ProximityVocabulary:
@@ -139,26 +145,32 @@ class ProximityVocabulary:
     def full_weights(self, targets: np.ndarray, theta: float) -> np.ndarray:
         """Exact Eq. 5 weight rows over the whole vocabulary (for L2).
 
-        Shape ``(batch, vocab_size)``; weights on special columns are zero
-        except for special targets, which get weight 1 on themselves.
+        Shape ``(batch, vocab_size)`` in the library dtype
+        (:func:`repro.nn.get_default_dtype`); weights on special columns
+        are zero except for special targets, which get weight 1 on
+        themselves.  Rows are built ``FULL_WEIGHTS_TILE_ROWS`` targets at a
+        time straight into the result, each tile's distances and kernel in
+        float64.
         """
         if theta <= 0:
             raise ValueError("theta must be positive")
         targets = np.asarray(targets, dtype=np.int64)
-        batch = targets.shape[0]
-        weights = np.zeros((batch, self.size))
-        special = targets < NUM_SPECIALS
-        hot = ~special
-        if hot.any():
-            target_xy = self.centroids[targets[hot] - NUM_SPECIALS]
-            diff = target_xy[:, None, :] - self.centroids[None, :, :]
-            dists = np.sqrt((diff ** 2).sum(axis=2))
-            kernel = np.exp(-dists / theta)
+        weights = np.zeros((targets.shape[0], self.size),
+                           dtype=get_default_dtype())
+        hot = np.flatnonzero(targets >= NUM_SPECIALS)
+        for start in range(0, len(hot), FULL_WEIGHTS_TILE_ROWS):
+            rows = hot[start:start + FULL_WEIGHTS_TILE_ROWS]
+            target_xy = self.centroids[targets[rows] - NUM_SPECIALS]
+            # Per-coordinate squares summed in coordinate order: the same
+            # float64 sums as an (rows, tokens, dim) difference array.
+            sq_dist = sum(
+                (target_xy[:, None, axis] - self.centroids[None, :, axis]) ** 2
+                for axis in range(self.centroids.shape[1]))
+            kernel = np.exp(-np.sqrt(sq_dist) / theta)
             kernel /= kernel.sum(axis=1, keepdims=True)
-            weights[np.flatnonzero(hot)[:, None],
-                    np.arange(self.num_hot_cells)[None, :] + NUM_SPECIALS] = kernel
-        if special.any():
-            weights[special, targets[special]] = 1.0
+            weights[rows, NUM_SPECIALS:] = kernel
+        special = np.flatnonzero(targets < NUM_SPECIALS)
+        weights[special, targets[special]] = 1.0
         return weights
 
     def sample_noise(self, rng: np.random.Generator, batch: int, count: int,

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import EncoderDecoder, LossSpec, ModelConfig, sequence_loss
+from repro.core import losses as core_losses
 from repro.data import TrainingDataPipeline
+from repro.nn import Tensor
+from repro.spatial import EOS, ProximityVocabulary
+
+from . import loss_reference
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +103,66 @@ def test_invalid_loss_kind_rejected():
         LossSpec(k_nearest=0)
     with pytest.raises(ValueError):
         LossSpec(noise=0)
+
+
+def test_dense_l3_path_never_reaches_gathered_node(setup, vocab, monkeypatch):
+    """At V <= DENSE_L3_VOCAB_LIMIT, L3 stays on the dense masked softmax."""
+    model, batch, hidden = setup
+    assert vocab.size <= core_losses.DENSE_L3_VOCAB_LIMIT
+
+    def gathered(*args, **kwargs):
+        raise AssertionError("gathered L3 reached at a dense-path vocabulary")
+
+    monkeypatch.setattr(core_losses, "sampled_weighted_loss", gathered)
+    model.zero_grad()
+    loss = sequence_loss(model, hidden, batch.tgt_out, batch.tgt_mask, vocab,
+                         LossSpec(kind="L3", k_nearest=6, noise=16),
+                         np.random.default_rng(0))
+    loss.backward()
+    assert np.isfinite(loss.item())
+
+
+def test_gathered_l3_path_matches_tape_oracle(float64_tensors):
+    """Above the limit, sequence_loss equals the tape L3 on the same draws."""
+    rng = np.random.default_rng(4)
+    vocab = ProximityVocabulary(
+        rng.uniform(0.0, 5000.0, size=(core_losses.DENSE_L3_VOCAB_LIMIT + 1, 2)))
+    model = EncoderDecoder(ModelConfig(vocab.size, 8, 8, num_layers=1,
+                                       dropout=0.0, seed=0))
+    model.proj_bias.data[:] = rng.standard_normal(vocab.size)
+    steps, batch, spec = 5, 3, LossSpec(kind="L3", k_nearest=6, noise=16)
+    targets = rng.integers(EOS, vocab.size, size=(steps, batch))
+    targets[-1] = EOS
+    mask = np.ones((steps, batch))
+    mask[3:, 0] = 0.0
+    states = rng.standard_normal((steps * batch, 8))
+
+    def run(loss_fn):
+        model.zero_grad()
+        hidden = Tensor(states, requires_grad=True)
+        loss = loss_fn(hidden)
+        loss.backward()
+        return (loss.item(), hidden.grad, model.proj_weight.grad.copy(),
+                model.proj_bias.grad.copy())
+
+    fused = run(lambda hidden: sequence_loss(
+        model, hidden, targets, mask, vocab, spec, np.random.default_rng(1)))
+
+    def oracle(hidden):
+        # The gathered branch of sequence_loss, draw for draw.
+        draws = np.random.default_rng(1)
+        real = np.flatnonzero(mask.reshape(-1))
+        flat_targets = targets.reshape(-1)[real]
+        cand, knn_w = vocab.proximity_candidates(flat_targets, spec.k_nearest,
+                                                 spec.theta)
+        noise = vocab.sample_noise(draws, len(real), spec.noise, exclude=cand)
+        return loss_reference.sampled_weighted_loss(
+            hidden[real], model.proj_weight,
+            np.concatenate([cand, noise], axis=1),
+            np.concatenate([knn_w, np.zeros(noise.shape)], axis=1),
+            proj_bias=model.proj_bias)
+
+    expected = run(oracle)
+    assert fused[0] == pytest.approx(expected[0], rel=1e-10, abs=1e-10)
+    for got, want in zip(fused[1:], expected[1:]):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)

@@ -40,7 +40,8 @@ def test_proximity_weights_decay(line_vocab):
     np.testing.assert_allclose(weights[0], expected, rtol=1e-9)
 
 
-def test_full_weights_match_manual_kernel(line_vocab):
+def test_full_weights_match_manual_kernel(line_vocab, float64_tensors):
+    # full_weights returns the library dtype; float64 keeps rtol=1e-9 exact.
     weights = line_vocab.full_weights(np.array([5]), theta=2.0)
     centers = np.array([0.0, 1.0, 2.0, 3.0, 10.0])
     kernel = np.exp(-np.abs(centers - 1.0) / 2.0)

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.nn import set_default_dtype
 from repro.spatial import BOS, EOS, NUM_SPECIALS, PAD, UNK, CellVocabulary, Grid
+from repro.spatial.proximity import FULL_WEIGHTS_TILE_ROWS
+
+from . import loss_reference
 
 
 @pytest.fixture
@@ -118,6 +122,35 @@ def test_full_weights_rows_normalized(vocab):
     # Specials get zero weight for hot targets; EOS target is one-hot.
     assert weights[0, :NUM_SPECIALS].sum() == 0.0
     assert weights[2, EOS] == 1.0
+
+
+def _full_weight_targets(vocab, rng):
+    """Hot and special targets spanning three tiles of ``full_weights``."""
+    targets = rng.integers(NUM_SPECIALS, vocab.size,
+                           size=2 * FULL_WEIGHTS_TILE_ROWS + 3)
+    targets[::7] = EOS
+    targets[5] = PAD
+    return targets
+
+
+def test_full_weights_match_untiled_oracle(vocab, rng, float64_tensors):
+    targets = _full_weight_targets(vocab, rng)
+    for theta in (10.0, 100.0):
+        weights = vocab.full_weights(targets, theta)
+        expected = loss_reference.full_weights(vocab, targets, theta)
+        assert weights.dtype == np.float64
+        np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_full_weights_in_library_dtype(vocab, rng, dtype, float64_tensors):
+    set_default_dtype(dtype)  # the fixture restores the previous default
+    targets = _full_weight_targets(vocab, rng)
+    weights = vocab.full_weights(targets, theta=100.0)
+    assert weights.dtype == dtype
+    np.testing.assert_allclose(
+        weights, loss_reference.full_weights(vocab, targets, 100.0),
+        rtol=1e-6 if dtype == np.float32 else 1e-12, atol=1e-12)
 
 
 def test_invalid_theta_raises(vocab):
