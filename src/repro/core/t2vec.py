@@ -202,12 +202,10 @@ class T2Vec(TrajectoryDistance):
         """Training pipeline + materialized validation set.
 
         Training streams through :class:`TrainingDataPipeline`
-        (``training.num_workers`` processes, length-bucketed batches,
-        background prefetch).  Validation is synthesized by the same
-        deterministic per-original seeding but materialized once — it is
-        evaluated every round, and the materialized
-        ``TokenPairDataset.batches`` path is the pipeline's exact-parity
-        reference.
+        (``training.num_workers`` processes, batches bucketed by length
+        in windows of ``training.bucket_batches``).  Validation is
+        synthesized by the same deterministic per-original seeding but
+        materialized once, because it is evaluated every round.
         """
         cfg = self.config
         train_seed = int(self._rng.integers(2 ** 31 - 1))
@@ -217,7 +215,6 @@ class T2Vec(TrajectoryDistance):
             seed=train_seed,
             num_workers=cfg.training.num_workers,
             bucket_batches=cfg.training.bucket_batches,
-            prefetch_batches=cfg.training.prefetch_batches,
             registry=self.registry)
         val_ds = None
         if validation:
@@ -247,6 +244,9 @@ class T2Vec(TrajectoryDistance):
         along with a per-trajectory encode-latency histogram.
         """
         self._require_fitted()
+        if len(trajectories) == 0:
+            return np.empty((0, self.model.config.hidden_size),
+                            dtype=self.model.proj_weight.data.dtype)
         reg = self._registry()
         cache = self._encodings
         unique: "OrderedDict[bytes, Trajectory]" = OrderedDict(

@@ -30,6 +30,12 @@ from .encoder_decoder import EncoderDecoder
 from .losses import LossSpec, sequence_loss
 
 
+#: ``TrainingConfig`` keys that earlier releases wrote and that no longer
+#: configure anything (``prefetch_batches`` sized a background batch
+#: thread that is gone).
+_RETIRED_KEYS = frozenset({"prefetch_batches"})
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Optimization hyper-parameters (paper values in parentheses)."""
@@ -42,7 +48,6 @@ class TrainingConfig:
     eval_batches: int = 20         # validation mini-batches per round
     num_workers: int = 0           # data-pipeline worker processes
     bucket_batches: int = 8        # length-sorting window, in batches
-    prefetch_batches: int = 2      # batches kept ready by the prefetcher
     seed: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
@@ -51,7 +56,12 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TrainingConfig":
-        """Build from :meth:`to_dict` output; unknown keys are rejected."""
+        """Build from :meth:`to_dict` output; unknown keys are rejected.
+
+        Keys of retired fields (``prefetch_batches``) are dropped, so
+        checkpoints written by earlier releases still load.
+        """
+        data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -78,10 +88,11 @@ class Trainer:
     """Fits an :class:`EncoderDecoder` on any :class:`BatchSource`.
 
     The source may be a materialized
-    :class:`~repro.data.dataset.TokenPairDataset` (the reference path)
-    or a streaming :class:`~repro.data.pipeline.TrainingDataPipeline`
-    (parallel synthesis, length-bucketed batches, background prefetch);
-    both yield the same :class:`~repro.data.dataset.Batch` layout.
+    :class:`~repro.data.dataset.TokenPairDataset` or a streaming
+    :class:`~repro.data.pipeline.TrainingDataPipeline` (pair synthesis,
+    in-process or sharded across workers, and length-bucketed batches,
+    assembled when the loop asks for the next one); both yield the same
+    :class:`~repro.data.dataset.Batch` layout.
     """
 
     def __init__(self, model: EncoderDecoder, vocab: ProximityVocabulary,

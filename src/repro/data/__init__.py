@@ -10,7 +10,7 @@ from .dataset import (Batch, BatchSource, TokenPairDataset, make_batch,
                       pad_batch, tokenize)
 from .generator import (CityConfig, SyntheticCity, dataset_statistics,
                         harbin_like, porto_like)
-from .pipeline import (Prefetcher, TrainingDataPipeline, pair_rng,
+from .pipeline import (TrainingDataPipeline, pair_rng,
                        synthesize_token_pairs)
 from .porto import load_porto
 from .roadnet import RoadNetwork
@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_DISTORTING_RATES",
     "DEFAULT_DROPPING_RATES",
     "DISTORTION_RADIUS_M",
-    "Prefetcher",
     "RoadNetwork",
     "SyntheticCity",
     "TokenPairDataset",

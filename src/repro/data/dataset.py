@@ -68,9 +68,9 @@ def make_batch(sources: Sequence[np.ndarray],
 
     Sources are padded as-is; targets are framed as ``BOS + y`` decoder
     inputs and ``y + EOS`` decoder outputs (paper Figure 2).  The one
-    batch builder: :class:`TokenPairDataset` and
-    :class:`~repro.data.pipeline.TrainingDataPipeline` both call it, so
-    the same token pairs give bit-identical batches on either path.
+    batch builder: :class:`TokenPairDataset` calls it, and
+    :class:`~repro.data.pipeline.TrainingDataPipeline` batches each of
+    its windows through :class:`TokenPairDataset`.
     """
     src, src_mask = pad_batch(list(sources))
     tgt_in, _ = pad_batch([np.concatenate([[BOS], t]) for t in targets])

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro import LossSpec, T2Vec, T2VecConfig, TrainingConfig
@@ -55,6 +56,15 @@ def test_from_dict_rejects_unknown_keys():
         TrainingConfig.from_dict({"batch": 32})
     with pytest.raises(ValueError, match="unknown LossSpec"):
         LossSpec.from_dict({"kind": "L1", "K": 20})
+
+
+def test_from_dict_drops_retired_prefetch_key():
+    """``prefetch_batches`` (a retired field) is dropped, so checkpoints
+    that carry it load; any other unknown key still raises."""
+    data = dict(TrainingConfig(batch_size=7).to_dict(), prefetch_batches=2)
+    assert TrainingConfig.from_dict(data) == TrainingConfig(batch_size=7)
+    with pytest.raises(ValueError, match=r"\['prefetch_batche'\]"):
+        TrainingConfig.from_dict(dict(data, prefetch_batche=2))
 
 
 def test_from_dict_defaults_missing_keys():
@@ -121,3 +131,27 @@ def test_load_old_style_partial_checkpoint_meta(trips, tmp_path):
     assert restored.config.hidden_size == 8
     assert restored.config.training == TrainingConfig()  # defaulted
     assert restored.vocab.size == model.vocab.size
+
+
+def test_load_checkpoint_with_retired_training_key(trips, tmp_path):
+    """A checkpoint whose metadata still carries ``prefetch_batches``
+    loads, with the rest of its TrainingConfig intact."""
+    from repro.nn.serialization import load_checkpoint, save_checkpoint
+
+    config = T2VecConfig(min_hits=3, embedding_size=8, hidden_size=8,
+                         num_layers=1, dropout=0.0, loss=LossSpec(kind="L1"),
+                         pretrain_cells=False, val_fraction=0.0,
+                         training=TrainingConfig(batch_size=16, max_epochs=1))
+    model = T2Vec(config)
+    model.fit(trips[:12])
+    path = tmp_path / "retired.npz"
+    model.save(path)
+
+    state, meta = load_checkpoint(path)
+    meta["config"]["training"]["prefetch_batches"] = 2
+    save_checkpoint(path, state, meta)
+
+    restored = T2Vec.load(path)
+    assert restored.config == config
+    np.testing.assert_array_equal(restored.encode(trips[0]),
+                                  model.encode(trips[0]))

@@ -1,11 +1,11 @@
-"""Streaming data pipeline: worker parity, bucketing, prefetch, telemetry.
+"""Streaming data pipeline: worker parity, bucketing, telemetry.
 
 The contract under test (docs/performance.md "Data pipeline"):
 
 * the token-pair stream is bit-identical for ``num_workers`` ∈ {0, 1, 4}
   (per-original ``SeedSequence``-spawned RNGs, order-restoring collector);
-* with a whole-epoch bucketing window, the batch stream exactly matches
-  the materialized ``TokenPairDataset.batches`` reference path;
+* the windowed batch stream equals, batch for batch, the earlier
+  window-buffer loop kept in ``tests/pipeline_reference.py``;
 * the worker's degrade (the transforms' array kernels) is draw-for-draw
   identical to the public ``degrade`` transform;
 * the rate grid is checked like ``degrade`` checks its rates;
@@ -16,10 +16,12 @@ The contract under test (docs/performance.md "Data pipeline"):
 import numpy as np
 import pytest
 
-from repro.data import (TokenPairDataset, TrainingDataPipeline, degrade,
-                        make_batch, tokenize)
-from repro.data.pipeline import (Prefetcher, pair_rng, synthesize_token_pairs)
+from repro.data import TrainingDataPipeline, degrade, make_batch, tokenize
+from repro.data import pipeline as pipeline_mod
+from repro.data.pipeline import pair_rng, synthesize_token_pairs
 from repro.telemetry import MetricsRegistry
+
+from . import pipeline_reference
 
 RATES = (0.0, 0.2, 0.4, 0.6)
 
@@ -27,6 +29,12 @@ RATES = (0.0, 0.2, 0.4, 0.6)
 def make_pipeline(trips, vocab, **kwargs):
     kwargs.setdefault("seed", 11)
     return TrainingDataPipeline(trips, vocab, **kwargs)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Four originals per work item, so a few trips make several chunks."""
+    monkeypatch.setattr(pipeline_mod, "CHUNK_SIZE", 4)
 
 
 def assert_batches_equal(got, want):
@@ -42,12 +50,12 @@ def assert_batches_equal(got, want):
 # ----------------------------------------------------------------------
 # Determinism / parity
 # ----------------------------------------------------------------------
-def test_token_stream_bit_identical_across_num_workers(trips, vocab):
+def test_token_stream_bit_identical_across_num_workers(trips, vocab,
+                                                      small_chunks):
     """The acceptance-criteria parity: num_workers ∈ {0, 1, 4}."""
     streams = []
     for workers in (0, 1, 4):
-        pipeline = make_pipeline(trips[:20], vocab, num_workers=workers,
-                                 chunk_size=4)
+        pipeline = make_pipeline(trips[:20], vocab, num_workers=workers)
         streams.append(list(pipeline.token_pairs()))
     reference = streams[0]
     assert len(reference) == 20 * 16
@@ -58,10 +66,11 @@ def test_token_stream_bit_identical_across_num_workers(trips, vocab):
             np.testing.assert_array_equal(tgt_a, tgt_b)
 
 
-def test_batch_stream_identical_across_num_workers(trips, vocab):
+def test_batch_stream_identical_across_num_workers(trips, vocab,
+                                                   small_chunks):
     def batch_stream(workers):
         pipeline = make_pipeline(trips[:20], vocab, num_workers=workers,
-                                 chunk_size=4, bucket_batches=3)
+                                 bucket_batches=3)
         return list(pipeline.batches(8, np.random.default_rng(5)))
 
     reference = batch_stream(0)
@@ -70,31 +79,36 @@ def test_batch_stream_identical_across_num_workers(trips, vocab):
     assert_batches_equal(batch_stream(4), reference)
 
 
-def test_whole_epoch_window_matches_reference_dataset_path(trips, vocab):
-    """bucket_batches=None reproduces TokenPairDataset.batches exactly.
+@pytest.mark.parametrize("num_workers", [0, 2])
+@pytest.mark.parametrize("bucket_batches", [1, 3, 8])
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_batches_match_window_buffer_reference(trips, vocab, small_chunks,
+                                               shuffle, bucket_batches,
+                                               num_workers):
+    """Batch for batch, the earlier window-buffer loop.
 
-    The pipeline draws one seed from the caller's rng and shuffles its
-    chunk list with ``default_rng(seed)`` — feeding that derived rng to
-    the materialized dataset must give the identical batch stream.
+    13 trips give 208 pairs; at batch 12 no window size divides that, so
+    every case ends on a partial window (and a partial batch).
     """
-    pipeline = make_pipeline(trips[:16], vocab, bucket_batches=None)
-    reference = pipeline.materialize()
-    assert isinstance(reference, TokenPairDataset)
-    assert len(reference) == len(pipeline)
-
-    caller_rng = np.random.default_rng(123)
-    derived = int(caller_rng.integers(np.iinfo(np.int64).max))
-    got = list(pipeline.batches(16, np.random.default_rng(123)))
-    want = list(reference.batches(16, np.random.default_rng(derived)))
+    pipeline = make_pipeline(trips[:13], vocab, num_workers=num_workers,
+                             bucket_batches=bucket_batches)
+    assert len(pipeline) % (12 * bucket_batches) != 0
+    got = list(pipeline.batches(12, np.random.default_rng(123),
+                                shuffle=shuffle))
+    want = list(pipeline_reference.batches(
+        pipeline, 12, np.random.default_rng(123), shuffle=shuffle))
     assert_batches_equal(got, want)
 
 
-def test_unshuffled_whole_epoch_window_matches_reference(trips, vocab):
-    pipeline = make_pipeline(trips[:12], vocab, bucket_batches=None)
-    reference = pipeline.materialize()
-    got = list(pipeline.batches(16, shuffle=False))
-    want = list(reference.batches(16, shuffle=False))
-    assert_batches_equal(got, want)
+def test_shuffled_epoch_draws_one_value_on_first_next(trips, vocab):
+    """Shuffling draws exactly one int64 from the caller's rng, when
+    iteration starts (the trainer shares that rng with the loss)."""
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    iterator = make_pipeline(trips[:3], vocab).batches(8, rng)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    list(iterator)
+    twin.integers(np.iinfo(np.int64).max)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_worker_degrade_matches_public_transform(trips, vocab):
@@ -124,26 +138,10 @@ def test_same_seed_same_stream_different_seed_differs(trips, vocab):
                for (a, _), (c, _) in zip(first, other))
 
 
-def test_fresh_each_epoch_regenerates_pairs(trips, vocab):
-    stable = make_pipeline(trips[:6], vocab)
-    fresh = make_pipeline(trips[:6], vocab, fresh_each_epoch=True)
-
-    def epoch_sources(pipeline):
-        return [batch.src.copy()
-                for batch in pipeline.batches(16, shuffle=False)]
-
-    assert all((a == b).all() for a, b in
-               zip(epoch_sources(stable), epoch_sources(stable)))
-    first, second = epoch_sources(fresh), epoch_sources(fresh)
-    assert any(a.shape != b.shape or (a != b).any()
-               for a, b in zip(first, second))
-
-
-def test_spawn_start_method_parity(trips, vocab):
+def test_spawn_start_method_parity(trips, vocab, small_chunks):
     """The macOS/Windows start method produces the identical stream."""
     reference = list(make_pipeline(trips[:8], vocab).token_pairs())
     spawned = list(make_pipeline(trips[:8], vocab, num_workers=2,
-                                 chunk_size=4,
                                  start_method="spawn").token_pairs())
     assert len(spawned) == len(reference)
     for (a, ta), (b, tb) in zip(reference, spawned):
@@ -196,34 +194,10 @@ def test_batches_cover_every_pair_exactly_once(trips, vocab):
 # ----------------------------------------------------------------------
 # Streaming machinery
 # ----------------------------------------------------------------------
-def test_prefetcher_yields_all_items_in_order():
-    items = list(range(57))
-    prefetcher = Prefetcher(iter(items), depth=2)
-    try:
-        assert list(prefetcher) == items
-    finally:
-        prefetcher.close()
-
-
-def test_prefetcher_propagates_source_exception():
-    def exploding():
-        yield 1
-        raise ValueError("boom")
-
-    prefetcher = Prefetcher(exploding(), depth=2)
-    try:
-        assert next(prefetcher) == 1
-        with pytest.raises(ValueError, match="boom"):
-            for _ in prefetcher:
-                pass
-    finally:
-        prefetcher.close()
-
-
-def test_early_break_with_workers_cleans_up(trips, vocab):
+def test_early_break_with_workers_cleans_up(trips, vocab, small_chunks):
     """Abandoning iteration mid-epoch (Trainer.evaluate's max_batches
     break) must terminate worker processes, not leak or deadlock."""
-    pipeline = make_pipeline(trips, vocab, num_workers=2, chunk_size=4)
+    pipeline = make_pipeline(trips, vocab, num_workers=2)
     for _ in range(3):
         iterator = pipeline.batches(8, np.random.default_rng(0))
         next(iterator)
@@ -241,8 +215,8 @@ def test_worker_failure_surfaces_as_error(trips, vocab):
 
 
 def test_invalid_configuration_rejected(trips, vocab):
-    for kwargs in ({"num_workers": -1}, {"chunk_size": 0},
-                   {"bucket_batches": 0}, {"prefetch_batches": -1}):
+    for kwargs in ({"num_workers": -1}, {"bucket_batches": 0},
+                   {"bucket_batches": None}):
         with pytest.raises(ValueError):
             make_pipeline(trips[:4], vocab, **kwargs)
     with pytest.raises(ValueError):
@@ -263,9 +237,9 @@ def test_out_of_range_rates_rejected(trips, vocab, rates):
 # ----------------------------------------------------------------------
 # Telemetry
 # ----------------------------------------------------------------------
-def test_telemetry_metrics_recorded(trips, vocab):
+def test_telemetry_metrics_recorded(trips, vocab, small_chunks):
     registry = MetricsRegistry()
-    pipeline = make_pipeline(trips[:16], vocab, num_workers=2, chunk_size=4,
+    pipeline = make_pipeline(trips[:16], vocab, num_workers=2,
                              registry=registry)
     batches = list(pipeline.batches(16, np.random.default_rng(0)))
     assert registry.counter("data.pairs").value == len(pipeline)
@@ -286,10 +260,10 @@ def test_telemetry_metrics_recorded(trips, vocab):
 # ----------------------------------------------------------------------
 # Trainer integration
 # ----------------------------------------------------------------------
-def test_trainer_fits_from_pipeline(trips, vocab):
+def test_trainer_fits_from_pipeline(trips, vocab, small_chunks):
     from repro.core import (EncoderDecoder, LossSpec, ModelConfig, Trainer,
                             TrainingConfig)
-    pipeline = make_pipeline(trips[:8], vocab, num_workers=2, chunk_size=4)
+    pipeline = make_pipeline(trips[:8], vocab, num_workers=2)
     validation = make_pipeline(trips[8:12], vocab, seed=99).materialize()
     model = EncoderDecoder(ModelConfig(vocab.size, 16, 16, num_layers=1,
                                        dropout=0.0, seed=0))

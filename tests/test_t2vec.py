@@ -110,6 +110,17 @@ def test_knn_batch_matches_vector_truth(fitted, trips):
         np.testing.assert_array_equal(rows[i], truth)
 
 
+def test_empty_candidate_sets(fitted, trips):
+    """No trajectories encode to a (0, hidden) matrix in the model's
+    dtype, and searches over no candidates give (Q, 0) results."""
+    model, _ = fitted
+    empty = model.encode_many([])
+    assert empty.shape == (0, 24)
+    assert empty.dtype == model.encode(trips[0]).dtype
+    assert model.distance_matrix(trips[:3], []).shape == (3, 0)
+    assert model.knn_batch(trips[:3], [], k=5).shape == (3, 0)
+
+
 def test_knn_is_thin_wrapper_over_batch(fitted, trips):
     model, _ = fitted
     db = trips[10:40]

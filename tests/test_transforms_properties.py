@@ -7,6 +7,8 @@ rates are identities, lengths never grow, and equal seeds reproduce the
 exact draw sequence — including across pipeline worker counts.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.data import Trajectory, degrade, distort, downsample  # noqa: E402
+from repro.data import pipeline as pipeline_mod  # noqa: E402
 from repro.data.pipeline import TrainingDataPipeline  # noqa: E402
 
 rates = st.floats(min_value=0.0, max_value=0.95, allow_nan=False).map(float)
@@ -72,9 +75,9 @@ def test_pair_stream_deterministic_across_num_workers(pytestconfig, seed,
     vocab = pytestconfig._pipeline_vocab
     serial = list(TrainingDataPipeline(trips, vocab, seed=seed,
                                        num_workers=0).token_pairs())
-    sharded = list(TrainingDataPipeline(trips, vocab, seed=seed,
-                                        num_workers=workers,
-                                        chunk_size=2).token_pairs())
+    with mock.patch.object(pipeline_mod, "CHUNK_SIZE", 2):
+        sharded = list(TrainingDataPipeline(trips, vocab, seed=seed,
+                                            num_workers=workers).token_pairs())
     assert len(sharded) == len(serial) == 16 * len(trips)
     for (src_a, tgt_a), (src_b, tgt_b) in zip(serial, sharded):
         np.testing.assert_array_equal(src_a, src_b)
