@@ -30,10 +30,11 @@ def stack_padded(trajectories: Sequence[Trajectory]) -> Tuple[np.ndarray, np.nda
 
     Padding with the final point (rather than zeros) keeps vectorized cost
     tensors finite; the DP reads results at each trajectory's true length,
-    so padded cells never influence the answer.
+    so padded cells never influence the answer.  No trajectories give a
+    ``(0, 1, 2)`` array, an empty batch every DP kernel runs through.
     """
     lengths = np.array([len(t) for t in trajectories], dtype=np.int64)
-    max_len = int(lengths.max())
+    max_len = int(lengths.max(initial=1))
     out = np.empty((len(trajectories), max_len, 2))
     for k, traj in enumerate(trajectories):
         n = len(traj)
@@ -94,6 +95,8 @@ class TrajectoryDistance(ABC):
         """Indices of the k nearest candidates, nearest first."""
         dists = self.distance_to_many(query, candidates)
         k = min(k, len(dists))
+        if k < 1:
+            return np.zeros(0, dtype=np.int64)
         idx = np.argpartition(dists, k - 1)[:k]
         return idx[np.argsort(dists[idx], kind="stable")]
 

@@ -114,6 +114,9 @@ class VanillaRNNEmbedding(TrajectoryDistance):
 
     def encode_many(self, trajectories: Sequence[Trajectory]) -> np.ndarray:
         """Embed trajectories (batched); results are cached per object."""
+        if len(trajectories) == 0:
+            return np.empty((0, self.model.rnn.hidden_size),
+                            dtype=self.model.proj.weight.data.dtype)
         missing = [t for t in trajectories
                    if t.cache_key() not in self._encodings]
         if missing:

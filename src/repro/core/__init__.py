@@ -8,8 +8,7 @@
 * :class:`ExactIndex` / :class:`LSHIndex` — vector k-NN search.
 """
 
-from .cell_embedding import (CellEmbeddingConfig, CellEmbeddingTrainer,
-                             pretrain_cell_embeddings)
+from .cell_embedding import CellEmbeddingConfig, CellEmbeddingTrainer
 from .encoder_decoder import EncoderDecoder, ModelConfig
 from .index import ExactIndex, LSHIndex
 from .losses import LossSpec, sequence_loss
@@ -36,6 +35,5 @@ __all__ = [
     "TrainingResult",
     "distort_series",
     "downsample_series",
-    "pretrain_cell_embeddings",
     "sequence_loss",
 ]

@@ -23,7 +23,7 @@ embedding layer uses anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import sparse
@@ -164,11 +164,3 @@ class CellEmbeddingTrainer:
         pos = np.log(_sigmoid((vc * vp).sum(axis=1)) + 1e-12)
         negs = np.log(_sigmoid(-(vn * vc[:, None, :]).sum(axis=2)) + 1e-12).sum(axis=1)
         return float(-(pos + negs).mean())
-
-
-def pretrain_cell_embeddings(vocab: ProximityVocabulary,
-                             config: Optional[CellEmbeddingConfig] = None,
-                             ) -> np.ndarray:
-    """Convenience wrapper: run Algorithm 1 and return the embedding table."""
-    trainer = CellEmbeddingTrainer(vocab, config or CellEmbeddingConfig())
-    return trainer.train()

@@ -173,9 +173,11 @@ class T2Vec(TrajectoryDistance):
         self.vocab = CellVocabulary.build(self.grid, points,
                                           min_hits=self.config.min_hits)
 
-    def _build_model(self) -> None:
+    def _new_model(self) -> EncoderDecoder:
+        """The seeded encoder-decoder that ``config`` and ``vocab`` describe;
+        both fitting and :meth:`load` build the model here."""
         cfg = self.config
-        self.model = EncoderDecoder(ModelConfig(
+        return EncoderDecoder(ModelConfig(
             vocab_size=self.vocab.size,
             embedding_size=cfg.embedding_size,
             hidden_size=cfg.hidden_size,
@@ -184,6 +186,10 @@ class T2Vec(TrajectoryDistance):
             rnn_type=cfg.rnn_type,
             seed=cfg.seed,
         ))
+
+    def _build_model(self) -> None:
+        cfg = self.config
+        self.model = self._new_model()
         if cfg.pretrain_cells:
             cell_trainer = CellEmbeddingTrainer(self.vocab, CellEmbeddingConfig(
                 dim=cfg.embedding_size,
@@ -401,14 +407,6 @@ class T2Vec(TrajectoryDistance):
         hot_cells = state.pop("_vocab.hot_cells")
         hit_counts = state.pop("_vocab.hit_counts", None)
         instance.vocab = CellVocabulary(instance.grid, hot_cells, hit_counts)
-        instance.model = EncoderDecoder(ModelConfig(
-            vocab_size=instance.vocab.size,
-            embedding_size=config.embedding_size,
-            hidden_size=config.hidden_size,
-            num_layers=config.num_layers,
-            dropout=config.dropout,
-            rnn_type=config.rnn_type,
-            seed=config.seed,
-        ))
+        instance.model = instance._new_model()
         instance.model.load_state_dict(state)
         return instance

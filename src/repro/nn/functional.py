@@ -2,15 +2,7 @@
 
 from __future__ import annotations
 
-
 from .tensor import Tensor
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - x.max_detached(axis=axis, keepdims=True)
-    exps = shifted.exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -33,12 +25,3 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
         del shape[axis if axis >= 0 else len(shape) + axis]
         out = out.reshape(tuple(shape))
     return out
-
-
-def linear_no_bias(x: Tensor, weight: Tensor) -> Tensor:
-    """``x @ weight.T`` — projection onto vocabulary logits.
-
-    ``weight`` rows are per-token output vectors, matching the paper's
-    ``W_u^T h_t`` notation.
-    """
-    return x @ weight.T

@@ -18,9 +18,10 @@ Gate formulation (PyTorch order i, f, g, o):
 Like the GRU (see :mod:`repro.nn.rnn`), each layer's whole sequence is
 one tape node (:func:`lstm_layer_forward`) with an analytic BPTT
 backward; numeric gradient checks and a step-wise oracle in the test
-suite pin the derivation.  :meth:`LSTM.forward` is the one execution
-path, used with ``T = 1`` for a decoding step, and :class:`LSTMCell`
-holds one layer's parameters.
+suite pin the derivation.  :class:`LSTM` runs on the stack loop it
+shares with the GRU (:class:`~repro.nn.rnn.RecurrentStack`), used with
+``T = 1`` for a decoding step, and :class:`LSTMCell` holds one layer's
+parameters.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import init
-from .layers import Dropout
 from .module import Module, Parameter
-from .rnn import _sequence_mask, _sigmoid_
+from .rnn import RecurrentStack, _sequence_mask, _sigmoid_
 from .tensor import Tensor
 
 
@@ -246,68 +246,23 @@ class LSTMCell(Module):
         self.b_hh = Parameter(init.zeros((4 * hidden_size,)))
 
 
-class LSTM(Module):
-    """Multi-layer LSTM over ``(T, batch, input)`` sequences; API mirrors
-    :class:`GRU`.
+class LSTM(RecurrentStack):
+    """Multi-layer LSTM; the state is one ``(h, c)`` tuple per layer.
 
-    ``forward`` returns ``(out_seq, state)`` where ``state`` is a list of
-    per-layer ``(h, c)`` tuples.  For interchangeability with the GRU in
-    the encoder-decoder, :meth:`hidden_of` extracts only the ``h`` parts.
+    The stack loop, dropout and input checks come from
+    :class:`~repro.nn.rnn.RecurrentStack`, shared with the GRU.
     """
 
-    def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1,
-                 dropout: float = 0.0, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        rng = rng or np.random.default_rng()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.num_layers = num_layers
-        self.cells = [
-            LSTMCell(input_size if layer == 0 else hidden_size, hidden_size,
-                     rng=rng)
-            for layer in range(num_layers)
-        ]
-        self.dropout = Dropout(dropout, rng=rng)
+    cell_class = LSTMCell
 
     def initial_state(self, batch_size: int) -> List[Tuple[Tensor, Tensor]]:
         return [(Tensor(np.zeros((batch_size, self.hidden_size))),
                  Tensor(np.zeros((batch_size, self.hidden_size))))
                 for _ in range(self.num_layers)]
 
-    def forward(
-        self,
-        x_seq: Tensor,
-        h0: Optional[List[Tuple[Tensor, Tensor]]] = None,
-        mask: Optional[np.ndarray] = None,
-    ) -> Tuple[Tensor, List[Tuple[Tensor, Tensor]]]:
-        """Run the stack over a whole ``(T, batch, input)`` sequence.
-
-        Returns ``(out_seq, state)`` where ``out_seq`` is the top layer's
-        ``(T, batch, hidden)`` output and ``state`` holds per-layer
-        ``(h, c)`` finals.
-        """
-        if x_seq.ndim != 3 or x_seq.shape[0] < 1:
-            raise ValueError("LSTM.forward requires a (T, batch, input) "
-                             f"tensor with T >= 1, got shape {x_seq.shape}")
-        batch = x_seq.shape[1]
-        state = list(h0) if h0 is not None else self.initial_state(batch)
-        if len(state) != self.num_layers:
-            raise ValueError(
-                f"h0 has {len(state)} layers, expected {self.num_layers}")
-        layer_input = x_seq
-        for layer, cell in enumerate(self.cells):
-            if layer > 0:
-                layer_input = self.dropout(layer_input)
-            h_prev, c_prev = state[layer]
-            layer_input, h_last, c_last = lstm_layer_forward(
-                layer_input, h_prev, c_prev, cell.w_ih, cell.w_hh,
-                cell.b_ih, cell.b_hh, mask=mask)
-            state[layer] = (h_last, c_last)
-        return layer_input, state
-
-    @staticmethod
-    def hidden_of(state: List[Tuple[Tensor, Tensor]]) -> List[Tensor]:
-        """Extract the ``h`` component per layer (GRU-compatible shape)."""
-        return [h for h, _ in state]
+    def _layer(self, cell, x_seq, state, mask):
+        h_prev, c_prev = state
+        out_seq, h_last, c_last = lstm_layer_forward(
+            x_seq, h_prev, c_prev, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh,
+            mask=mask)
+        return out_seq, (h_last, c_last)

@@ -1,4 +1,4 @@
-"""Optimizers and gradient utilities.
+"""The Adam optimizer and global-norm gradient clipping.
 
 The paper trains with Adam (initial learning rate 1e-3) and clips
 gradients to a global norm of 5 (Section V-B).
@@ -6,7 +6,7 @@ gradients to a global norm of 5 (Section V-B).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
@@ -30,55 +30,14 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     return total
 
 
-class Optimizer:
-    """Base class: holds the parameter list and clears gradients."""
-
-    def __init__(self, parameters: Iterable[Parameter]):
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.grad = None
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: Optional[List[np.ndarray]] = None
-
-    def step(self) -> None:
-        if self.momentum and self._velocity is None:
-            self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-        for i, p in enumerate(self.parameters):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                vel = self._velocity[i]
-                vel *= self.momentum
-                vel += p.grad
-                p.data -= self.lr * vel
-            else:
-                p.data -= self.lr * p.grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba, 2015) with bias correction."""
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3,
                  betas=(0.9, 0.999), eps: float = 1e-8):
-        super().__init__(parameters)
+        self.parameters: List[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
@@ -87,6 +46,10 @@ class Adam(Optimizer):
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        for p in self.parameters:
+            p.grad = None
 
     def step(self) -> None:
         self._step += 1

@@ -17,9 +17,12 @@ final state is the state at each sequence's true last token.
 sequence as a single tape node: the input-to-hidden projection of all
 timesteps is one ``(T*B, in) @ (in, 3H)`` GEMM, the recurrence is a
 tight numpy loop, and the backward runs BPTT analytically.
-:meth:`GRU.forward` stacks it and is the one execution path for
-training, encoding and generation; a one-token decoding step is a call
-with ``T = 1``.  :class:`GRUCell` holds one layer's parameters.
+:class:`RecurrentStack` is the one stack loop over this kernel and
+:func:`~repro.nn.lstm.lstm_layer_forward`: :class:`GRU` and
+:class:`~repro.nn.lstm.LSTM` supply only their cell, zero state and
+kernel call.  Its ``forward`` is the one execution path for training,
+encoding and generation; a one-token decoding step is a call with
+``T = 1``.  :class:`GRUCell` holds one layer's parameters.
 """
 
 from __future__ import annotations
@@ -270,8 +273,14 @@ class GRUCell(Module):
         self.b_hh = Parameter(init.zeros((3 * hidden_size,)))
 
 
-class GRU(Module):
-    """Multi-layer GRU over ``(T, batch, input)`` sequences.
+class RecurrentStack(Module):
+    """Multi-layer recurrent stack over ``(T, batch, input)`` sequences.
+
+    The one stack loop shared by :class:`GRU` and :class:`LSTM`: it builds
+    one cell per layer, applies dropout to the inputs of layers after the
+    first and runs each layer as one tape node.  A subclass supplies
+    ``cell_class``, :meth:`initial_state` and :meth:`_layer`, the call to
+    its layer kernel.
 
     Parameters
     ----------
@@ -283,6 +292,8 @@ class GRU(Module):
         (standard stacked-RNN regularization); inactive in eval mode.
     """
 
+    cell_class: type
+
     def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1,
                  dropout: float = 0.0, rng: Optional[np.random.Generator] = None):
         super().__init__()
@@ -293,45 +304,46 @@ class GRU(Module):
         self.hidden_size = hidden_size
         self.num_layers = num_layers
         self.cells = [
-            GRUCell(input_size if layer == 0 else hidden_size, hidden_size, rng=rng)
+            self.cell_class(input_size if layer == 0 else hidden_size,
+                            hidden_size, rng=rng)
             for layer in range(num_layers)
         ]
         self.dropout = Dropout(dropout, rng=rng)
 
-    def initial_state(self, batch_size: int) -> List[Tensor]:
-        return [Tensor(np.zeros((batch_size, self.hidden_size)))
-                for _ in range(self.num_layers)]
+    def initial_state(self, batch_size: int) -> list:  # pragma: no cover
+        """Zero state per layer for a batch of ``batch_size``."""
+        raise NotImplementedError
 
-    def forward(
-        self,
-        x_seq: Tensor,
-        h0: Optional[List[Tensor]] = None,
-        mask: Optional[np.ndarray] = None,
-    ) -> Tuple[Tensor, List[Tensor]]:
+    def _layer(self, cell, x_seq, state, mask):  # pragma: no cover
+        """Run one layer's kernel; returns ``(out_seq, final state)``."""
+        raise NotImplementedError
+
+    def forward(self, x_seq: Tensor, h0: Optional[list] = None,
+                mask: Optional[np.ndarray] = None) -> Tuple[Tensor, list]:
         """Run the stack over a whole ``(T, batch, input)`` sequence.
-
-        Each layer is one tape node (see :func:`gru_layer_forward`).
 
         Parameters
         ----------
         x_seq:
             ``(T, batch, input_size)`` inputs, ``T >= 1``.
         h0:
-            Initial hidden state per layer; zeros when omitted.
+            Initial state per layer (see :meth:`initial_state`); zeros
+            when omitted.
         mask:
             Optional ``(T, batch)`` array of 0/1; where 0, the previous
-            hidden state is carried through (padding).
+            state is carried through (padding).
 
         Returns
         -------
         out_seq:
             ``(T, batch, hidden)`` top-layer hidden states.
         state:
-            Final hidden state per layer.
+            Final state per layer.
         """
         if x_seq.ndim != 3 or x_seq.shape[0] < 1:
-            raise ValueError("GRU.forward requires a (T, batch, input) "
-                             f"tensor with T >= 1, got shape {x_seq.shape}")
+            raise ValueError(f"{type(self).__name__}.forward requires a "
+                             "(T, batch, input) tensor with T >= 1, got "
+                             f"shape {x_seq.shape}")
         batch = x_seq.shape[1]
         state = list(h0) if h0 is not None else self.initial_state(batch)
         if len(state) != self.num_layers:
@@ -341,7 +353,20 @@ class GRU(Module):
         for layer, cell in enumerate(self.cells):
             if layer > 0:
                 layer_input = self.dropout(layer_input)
-            layer_input, state[layer] = gru_layer_forward(
-                layer_input, state[layer], cell.w_ih, cell.w_hh,
-                cell.b_ih, cell.b_hh, mask=mask)
+            layer_input, state[layer] = self._layer(
+                cell, layer_input, state[layer], mask)
         return layer_input, state
+
+
+class GRU(RecurrentStack):
+    """Multi-layer GRU; the state is one ``(batch, hidden)`` tensor per layer."""
+
+    cell_class = GRUCell
+
+    def initial_state(self, batch_size: int) -> List[Tensor]:
+        return [Tensor(np.zeros((batch_size, self.hidden_size)))
+                for _ in range(self.num_layers)]
+
+    def _layer(self, cell, x_seq, h, mask):
+        return gru_layer_forward(x_seq, h, cell.w_ih, cell.w_hh,
+                                 cell.b_ih, cell.b_hh, mask=mask)

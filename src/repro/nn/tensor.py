@@ -10,9 +10,10 @@ operation returns a new ``Tensor`` holding a closure that knows how to push
 its output gradient back to the inputs.  Broadcasting is supported by
 summing gradients over broadcast dimensions (:func:`_unbroadcast`).
 
-Only the operations needed by the t2vec models are implemented, but they
-are implemented generally (arbitrary shapes, arbitrary axes) so the engine
-is reusable for other sequence models.
+Only the operations the t2vec models, losses and baselines call are
+implemented.  The recurrent layers and the gathered L3 loss are single
+hand-derived tape nodes of their own (:mod:`repro.nn.rnn`,
+:mod:`repro.nn.lstm`, :mod:`repro.nn.loss`) built on :meth:`Tensor._make`.
 """
 
 from __future__ import annotations
@@ -126,10 +127,6 @@ class Tensor:
         """Return the underlying array (no copy)."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
@@ -224,9 +221,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         out = Tensor._make(self.data * other.data, (self, other), "mul")
@@ -258,9 +252,6 @@ class Tensor:
 
             out._backward = backward
         return out
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __pow__(self, exponent: float):
         if not isinstance(exponent, (int, float)):
@@ -325,45 +316,6 @@ class Tensor:
 
             out._backward = backward
         return out
-
-    def tanh(self):
-        value = np.tanh(self.data)
-        out = Tensor._make(value, (self,), "tanh")
-        if out.requires_grad:
-            a = self
-
-            def backward(grad):
-                a._accumulate(grad * (1.0 - value ** 2))
-
-            out._backward = backward
-        return out
-
-    def sigmoid(self):
-        value = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor._make(value, (self,), "sigmoid")
-        if out.requires_grad:
-            a = self
-
-            def backward(grad):
-                a._accumulate(grad * value * (1.0 - value))
-
-            out._backward = backward
-        return out
-
-    def relu(self):
-        mask = self.data > 0
-        out = Tensor._make(self.data * mask, (self,), "relu")
-        if out.requires_grad:
-            a = self
-
-            def backward(grad):
-                a._accumulate(grad * mask)
-
-            out._backward = backward
-        return out
-
-    def sqrt(self):
-        return self ** 0.5
 
     # ------------------------------------------------------------------
     # Reductions
@@ -525,10 +477,3 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         out._backward = backward
     return out
 
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)

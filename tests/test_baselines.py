@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import CMS, DTW, EDR, ERP, LCSS, EDwP, suggest_epsilon
+from repro import baselines
+from repro.baselines import (CMS, DISSIM, DTW, EDR, ERP, LCSS, EDwP,
+                             TrajectoryDistance, VanillaRNNEmbedding,
+                             suggest_epsilon)
 from repro.data import Trajectory, alternating_split
 
 from .baseline_reference import reference_distance
@@ -250,3 +253,49 @@ def test_rank_of_many_matches_per_query(trips):
     batched = edwp.rank_of_many(queries, db, targets)
     single = [edwp.rank_of(q, db, t) for q, t in zip(queries, targets)]
     np.testing.assert_array_equal(batched, single)
+
+
+# ----------------------------------------------------------------------
+# Empty candidate sets
+# ----------------------------------------------------------------------
+def _tiny_t2vec(vocab, trips):
+    from repro import LossSpec, T2Vec, T2VecConfig, TrainingConfig
+    model = T2Vec(T2VecConfig(
+        cell_size=100.0, min_hits=3, embedding_size=8, hidden_size=8,
+        num_layers=1, dropout=0.0, loss=LossSpec(kind="L1"),
+        dropping_rates=(0.0,), distorting_rates=(0.0,),
+        training=TrainingConfig(batch_size=32, max_epochs=1),
+        cell_epochs=1, seed=0))
+    model.fit(trips[:20])
+    return model
+
+
+#: One instance per measure; every ``TrajectoryDistance`` that
+#: ``repro.baselines`` exports must appear here.
+_MEASURES = {
+    "CMS": lambda vocab, trips: CMS(vocab),
+    "DISSIM": lambda vocab, trips: DISSIM(),
+    "DTW": lambda vocab, trips: DTW(),
+    "EDR": lambda vocab, trips: EDR(50.0),
+    "EDwP": lambda vocab, trips: EDwP(),
+    "ERP": lambda vocab, trips: ERP(),
+    "LCSS": lambda vocab, trips: LCSS(50.0),
+    "VanillaRNNEmbedding": lambda vocab, trips: VanillaRNNEmbedding(
+        vocab, embedding_size=8, hidden_size=8),
+    "T2Vec": _tiny_t2vec,
+}
+_EXPORTED = sorted(
+    name for name in baselines.__all__
+    if isinstance(getattr(baselines, name), type)
+    and issubclass(getattr(baselines, name), TrajectoryDistance)
+    and getattr(baselines, name) is not TrajectoryDistance)
+
+
+@pytest.mark.parametrize("name", _EXPORTED + ["T2Vec"])
+def test_empty_candidate_set(name, vocab, trips):
+    measure = _MEASURES[name](vocab, trips)
+    assert measure.distance_to_many(trips[0], []).shape == (0,)
+    assert measure.knn(trips[0], [], k=3).shape == (0,)
+    assert measure.knn_batch(trips[:2], [], k=3).shape == (2, 0)
+    if hasattr(measure, "encode_many"):
+        assert measure.encode_many([]).shape == (0, 8)

@@ -144,3 +144,32 @@ def test_state_dict_keys_pinned(rnn_type, gates):
     assert list(state) == _STATE_KEYS
     assert state["encoder.cells.0.w_ih"].shape == (3, gates * 4)
     assert state["decoder.cells.1.w_hh"].shape == (4, gates * 4)
+
+
+#: Row 0, first four values, of two Xavier draws in a seeded 2-layer model.
+#: Both come after every orthogonal matrix, so they move whenever the cells
+#: are built, or their values drawn, in another order.  (Values that pass
+#: through ``np.linalg.qr`` are not pinned: their last bits depend on the
+#: LAPACK build.)
+_SEEDED_INIT = {
+    "gru": ([0.22541484236717224, 0.3965495526790619,
+             0.4859802722930908, 0.10204579681158066],
+            [-0.42020559310913086, 0.32500186562538147,
+             -0.5411611795425415, -0.09707696735858917]),
+    "lstm": ([-0.11908172070980072, -0.03638683259487152,
+              0.354926198720932, 0.1979319453239441],
+             [-0.07895195484161377, 0.35816916823387146,
+              0.0012280739611014724, -0.4145839810371399]),
+}
+
+
+@pytest.mark.parametrize("rnn_type", ["gru", "lstm"])
+def test_seeded_initialization_order_pinned(rnn_type):
+    model = EncoderDecoder(ModelConfig(vocab_size=10, embedding_size=3,
+                                       hidden_size=4, num_layers=2,
+                                       rnn_type=rnn_type))
+    state = model.state_dict()
+    w_ih, proj = _SEEDED_INIT[rnn_type]
+    np.testing.assert_allclose(state["decoder.cells.1.w_ih"][0, :4], w_ih,
+                               rtol=1e-6)
+    np.testing.assert_allclose(state["proj_weight"][0, :4], proj, rtol=1e-6)

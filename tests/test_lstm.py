@@ -54,7 +54,6 @@ def test_lstm_stack_shapes():
     assert len(state) == 2
     h, c = state[-1]
     assert h.shape == (4, 5) and c.shape == (4, 5)
-    assert len(LSTM.hidden_of(state)) == 2
 
 
 def test_lstm_masking_freezes_short_sequences():

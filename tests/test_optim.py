@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Parameter, Tensor, clip_grad_norm
+from repro.nn import Adam, Parameter, Tensor, clip_grad_norm
 
 
 def quadratic_problem():
@@ -18,24 +18,6 @@ def quadratic_problem():
         return loss.item()
 
     return param, target, loss_and_grad
-
-
-def test_sgd_converges_on_quadratic():
-    param, target, step_loss = quadratic_problem()
-    opt = SGD([param], lr=0.1)
-    for _ in range(200):
-        step_loss()
-        opt.step()
-    np.testing.assert_allclose(param.data, target, atol=1e-4)
-
-
-def test_sgd_momentum_converges():
-    param, target, step_loss = quadratic_problem()
-    opt = SGD([param], lr=0.05, momentum=0.9)
-    for _ in range(200):
-        step_loss()
-        opt.step()
-    np.testing.assert_allclose(param.data, target, atol=1e-3)
 
 
 def test_adam_converges_on_quadratic():
@@ -59,7 +41,7 @@ def test_adam_first_step_scale():
 def test_optimizer_skips_parameters_without_grad():
     a, b = Parameter(np.ones(2)), Parameter(np.ones(2))
     a.grad = np.ones(2)
-    opt = SGD([a, b], lr=0.5)
+    opt = Adam([a, b], lr=0.5)
     opt.step()
     np.testing.assert_allclose(b.data, np.ones(2))
     np.testing.assert_allclose(a.data, 0.5 * np.ones(2))
@@ -68,21 +50,19 @@ def test_optimizer_skips_parameters_without_grad():
 def test_zero_grad_clears_all():
     a = Parameter(np.ones(2))
     a.grad = np.ones(2)
-    opt = SGD([a], lr=0.1)
+    opt = Adam([a], lr=0.1)
     opt.zero_grad()
     assert a.grad is None
 
 
 def test_empty_parameter_list_rejected():
     with pytest.raises(ValueError):
-        SGD([], lr=0.1)
-    with pytest.raises(ValueError):
         Adam([], lr=0.1)
 
 
 def test_bad_learning_rate_rejected():
     with pytest.raises(ValueError):
-        SGD([Parameter(np.ones(1))], lr=0.0)
+        Adam([Parameter(np.ones(1))], lr=0.0)
     with pytest.raises(ValueError):
         Adam([Parameter(np.ones(1))], lr=-1.0)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, concat, stack
-from repro.nn.functional import log_softmax, logsumexp, softmax
+from repro.nn.functional import log_softmax, logsumexp
 from repro.nn.tensor import _unbroadcast
 
 from .rnn_reference import where_const
@@ -82,9 +82,6 @@ class TestGradients:
 
     def test_nonlinearities(self):
         a = self.rng.standard_normal((3, 4))
-        check_gradients(lambda x: x.tanh().sum(), a)
-        check_gradients(lambda x: x.sigmoid().sum(), a)
-        check_gradients(lambda x: x.relu().sum(), a, tol=1e-6)
         check_gradients(lambda x: x.exp().sum(), a)
         b = self.rng.uniform(0.5, 3.0, (3, 4))
         check_gradients(lambda x: x.log().sum(), b)
@@ -158,23 +155,12 @@ class TestSemantics:
         (t * 3).sum().backward()
         np.testing.assert_allclose(t.grad, [6.0])
 
-    def test_detach_cuts_graph(self):
-        t = Tensor(np.array([2.0]), requires_grad=True)
-        out = (t.detach() * 5).sum()
-        assert not out.requires_grad
-
     def test_diamond_graph(self):
         # y = x*x + x*x must give grad 4x (shared subexpression counted twice).
         t = Tensor(np.array([3.0]), requires_grad=True)
         shared = t * t
         (shared + shared).sum().backward()
         np.testing.assert_allclose(t.grad, [12.0])
-
-    def test_softmax_rows_sum_to_one(self):
-        x = Tensor(np.random.default_rng(0).standard_normal((5, 9)) * 20)
-        s = softmax(x, axis=1).numpy()
-        np.testing.assert_allclose(s.sum(axis=1), np.ones(5), atol=1e-12)
-        assert (s >= 0).all()
 
     def test_logsumexp_extreme_values_stable(self):
         x = Tensor(np.array([[1000.0, 1000.0], [-1000.0, -1000.0]]))
